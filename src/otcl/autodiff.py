@@ -14,7 +14,16 @@ import numpy as np
 
 
 class NumericsError(RuntimeError):
-    """A non-finite value reached parameter state."""
+    """A non-finite value reached, or was about to reach, parameter state.
+
+    `class_id`, `phase` and `param` say where, when the raiser knows.
+    """
+
+    def __init__(self, message: str, *, class_id=None, phase=None, param=None):
+        super().__init__(message)
+        self.class_id = class_id
+        self.phase = phase
+        self.param = param
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,11 +98,6 @@ class Tensor:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """Wrap an array as a non-differentiable graph input."""
-    return Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +400,10 @@ class ParamSet:
         for name, t in self._params.items():
             t.data -= lr * t.grad
             if not np.isfinite(t.data).all():
-                raise NumericsError(f"non-finite values in parameter {name!r} after step")
+                raise NumericsError(
+                    f"non-finite values in parameter {name!r} after step", param=name
+                )
         self.zero_grad()
-
-
-def sgd_step(params: ParamSet, lr: float) -> None:
-    params.step(lr)
 
 
 def finite_diff_check(loss_fn, params: ParamSet, h: float = 1e-5, tol: float = 1e-4) -> float:

@@ -9,9 +9,15 @@ Kantorovich potential of the semi-dual objective
 where the conjugate is a soft-min over the batch at temperature epsilon.
 Mixture draws use the Gumbel-softmax reparameterization so the objective is
 differentiable in all mixture parameters; all noise is sampled outside the
-graph. The potential ascends the objective, the mixture descends it —
+gradient. The potential ascends the objective, the mixture descends it —
 shrinking the entropic transport cost between the mixture and the class's
 data as batches stream by.
+
+The transport step (`update_phi`, `update_mixture`) computes the value and
+the exact gradient of the side being updated in closed form on plain numpy
+arrays; the frozen side is only evaluated. `dual_objective` builds the same
+value as an autodiff graph and is the oracle those gradients are tested
+against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamSet, Tensor
+from .autodiff import NumericsError, ParamSet, Tensor
 
 POTENTIAL_WIDTH = 64
 
@@ -63,6 +69,19 @@ def draw_mixture_noise(n: int, k: int, dim: int, rng: np.random.Generator) -> Mi
         gumbel=-np.log(-np.log(u)),
         gauss=rng.standard_normal((n, k, dim)),
     )
+
+
+def _draw_noise(
+    n: int, k: int, dim: int, rng: np.random.Generator | None, noise: MixtureNoise | None
+) -> MixtureNoise:
+    """The frozen `noise` after a shape check, else a fresh draw from `rng`."""
+    if noise is None:
+        if rng is None:
+            raise ValueError("provide rng or frozen noise")
+        return draw_mixture_noise(n, k, dim, rng)
+    if noise.gumbel.shape != (n, k) or noise.gauss.shape != (n, k, dim):
+        raise ValueError("noise shape does not match (n, K, feat_dim)")
+    return noise
 
 
 class ClassMixture:
@@ -180,12 +199,7 @@ def sample_mixture(
     if tau <= 0:
         raise ValueError("tau must be positive")
     k, d = mix.n_components, mix.feat_dim
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide rng or frozen noise")
-        noise = draw_mixture_noise(n, k, d, rng)
-    if noise.gumbel.shape != (n, k) or noise.gauss.shape != (n, k, d):
-        raise ValueError("noise shape does not match (n, K, feat_dim)")
+    noise = _draw_noise(n, k, d, rng, noise)
 
     alpha = mix.params["alpha"]
     log_pi = ad.sub(alpha, ad.logsumexp(alpha))  # (K,)
@@ -239,23 +253,137 @@ def dual_objective(
     )
 
 
-def dual_value_exact(
-    z_batch: np.ndarray,
-    atoms: np.ndarray,
-    weights: np.ndarray,
-    phi: DualPotential,
-    epsilon: float,
-) -> float:
-    """Semi-dual value for a mixture collapsed to a known discrete measure.
+# ---------------------------------------------------------------------------
+# closed-form transport step
+#
+# The functions below recompute dual_objective on plain arrays, operation for
+# operation, and route its gradient back by hand into one side only, in the
+# order the autodiff graph sums it. The step is then bit for bit the one that
+# back-propagating dual_objective would take, and runs stay reproducible
+# across the two.
 
-    Replaces the Monte-Carlo expectation over draws with the exact weighted
-    sum over atoms — used to compare against the Sinkhorn reference without
-    sampling error.
+
+def _potential_forward(phi: DualPotential, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Input of every layer and the (n,) potential values."""
+    n_layers = len(phi.params.names()) // 2
+    inputs = [z]
+    for i in range(n_layers):
+        a = inputs[-1] @ phi.params[f"w{i}"].data + phi.params[f"b{i}"].data
+        if i < n_layers - 1:
+            inputs.append(np.where(a > 0, a, 0.0))
+    return inputs, a.reshape(z.shape[0])
+
+
+def _potential_grads(
+    phi: DualPotential, inputs: list[np.ndarray], g_p: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Back-propagate d value/d p (n,) through the ReLU layers."""
+    grads = {}
+    g = g_p.reshape(-1, 1)
+    for i in reversed(range(len(inputs))):
+        h = inputs[i]
+        grads[f"w{i}"] = h.T @ g
+        grads[f"b{i}"] = g.sum(axis=0, keepdims=True)
+        if i:
+            g = (g @ phi.params[f"w{i}"].data.T) * (h > 0)
+    return grads
+
+
+def _mixture_draws(mix: ClassMixture, tau: float, noise: MixtureNoise):
+    """Draws x (m, d), as sample_mixture makes them, plus what the gradient
+    needs: relaxed assignments y (m, K), weights pi (K,), scales (K, d) and
+    component draws (m, K, d)."""
+    alpha = mix.params["alpha"].data
+    top = alpha.max()
+    shifted = np.exp(alpha - top)
+    total = shifted.sum()
+    log_pi = alpha - (top + np.log(total))
+    logits = (log_pi + noise.gumbel) * (1.0 / tau)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    sigma = np.exp(mix.params["log_sigma"].data)
+    comps = mix.params["mu"].data + noise.gauss * sigma
+    return (y[:, :, None] * comps).sum(axis=1), y, shifted / total, sigma, comps
+
+
+def _soft_min(x: np.ndarray, z: np.ndarray, p: np.ndarray, epsilon: float):
+    """Conjugate (m,) of the draws x against the batch z with potential
+    values p, as phi_tilde computes it; the cotangent w (m, n) that the mean
+    conjugate sends back to each term p_j - D_ij, w_ij = -P_ij/m with P the
+    row softmax; and the differences x_i - z_j (m, n, d)."""
+    m, n = x.shape[0], z.shape[0]
+    if n == 0:
+        raise ValueError("empty feature batch")
+    diff = x[:, None, :] - z[None, :, :]
+    inner = (-np.einsum("mnd,mnd->mn", diff, diff) + p) * (1.0 / epsilon)
+    top = inner.max(axis=1, keepdims=True)
+    shifted = np.exp(inner - top)
+    total = shifted.sum(axis=1, keepdims=True)
+    conj = (top + np.log(total))[:, 0] * -epsilon + epsilon * np.log(n)
+    w = (1.0 / m * -epsilon) * (shifted / total) * (1.0 / epsilon)
+    return conj, w, diff
+
+
+def _mean(a: np.ndarray) -> float:
+    return a.sum() * (1.0 / a.size)
+
+
+def phi_value_and_grad(
+    z: np.ndarray, mix: ClassMixture, phi: DualPotential, cfg: OtmmConfig, noise: MixtureNoise
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Semi-dual value and its gradient in the potential's parameters, with
+    the mixture and its noise fixed.
+
+    d value/d p_j = 1/n - (1/m) sum_i P_ij, back-propagated through the MLP.
+    The two terms come from the two uses of the potential (batch mean and
+    conjugate); each is back-propagated on its own and the parameter
+    gradients summed, as the autodiff graph does, so the sums round alike.
     """
-    zb = Tensor(np.asarray(z_batch, dtype=np.float64))
-    conj = phi_tilde(Tensor(np.asarray(atoms, dtype=np.float64)), zb, phi, epsilon)
-    phi_vals = phi.forward(zb)
-    return float(phi_vals.data.mean() + (np.asarray(weights) * conj.data).sum())
+    x = _mixture_draws(mix, cfg.tau, noise)[0]
+    inputs, p = _potential_forward(phi, z)
+    conj, w, _ = _soft_min(x, z, p, cfg.epsilon)
+    n = z.shape[0]
+    from_mean = _potential_grads(phi, inputs, np.full(n, 1.0 / n))
+    from_conj = _potential_grads(phi, inputs, w.sum(axis=0))
+    grads = {name: from_mean[name] + from_conj[name] for name in from_mean}
+    return float(_mean(p) + _mean(conj)), grads
+
+
+def mixture_value_and_grad(
+    z: np.ndarray, p: np.ndarray, mix: ClassMixture, cfg: OtmmConfig, noise: MixtureNoise
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Semi-dual value and its gradient in alpha/mu/log_sigma, with the
+    potential's values p (n,) on the batch fixed.
+
+    g_x = (2/m) sum_j P_ij (x_i - z_j), routed through the Gaussian
+    reparameterization and the Gumbel-softmax.
+    """
+    x, y, pi, sigma, comps = _mixture_draws(mix, cfg.tau, noise)
+    conj, w, diff = _soft_min(x, z, p, cfg.epsilon)
+    g_x = 2.0 * np.einsum("mn,mnd->md", -w, diff)
+    g_comps = y[:, :, None] * g_x[:, None, :]  # (m, K, d)
+    g_y = (g_x[:, None, :] * comps).sum(axis=2)
+    g_logits = y * (g_y - (g_y * y).sum(axis=1, keepdims=True)) * (1.0 / cfg.tau)
+    g_log_pi = g_logits.sum(axis=0)
+    grads = {
+        "alpha": g_log_pi - pi * g_log_pi.sum(),
+        "mu": g_comps.sum(axis=0),
+        "log_sigma": (g_comps * noise.gauss).sum(axis=0) * sigma,
+    }
+    return float(_mean(p) + _mean(conj)), grads
+
+
+def _apply_step(params: ParamSet, grads: dict[str, np.ndarray], step: float, phase: str) -> None:
+    """p <- p + step * grad for every parameter, or for none: each updated
+    array is checked before any is written back."""
+    new = {name: t.data + step * grads[name] for name, t in params.items()}
+    for name, arr in new.items():
+        if not np.isfinite(arr).all():
+            raise NumericsError(
+                f"non-finite {phase} step for parameter {name!r}", phase=phase, param=name
+            )
+    for name, t in params.items():
+        np.copyto(t.data, new[name])
 
 
 def update_phi(
@@ -271,15 +399,14 @@ def update_phi(
     Fresh mixture noise per step from `rng`; pass `noise` instead to reuse
     one frozen draw across all steps (deterministic ascent).
     """
+    z = z_batch.data
+    m = cfg.n_mix_samples or z.shape[0]
     trace = []
     for _ in range(cfg.n_phi_steps):
-        phi.params.zero_grad()
-        mix.params.zero_grad()
-        value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
-        trace.append(value.item())
-        ad.backward(ad.neg(value))  # ascend: descend the negation
-        phi.params.step(cfg.lr_phi)
-        mix.params.zero_grad()  # mixture stays frozen here
+        step_noise = _draw_noise(m, mix.n_components, mix.feat_dim, rng, noise)
+        value, grads = phi_value_and_grad(z, mix, phi, cfg, step_noise)
+        trace.append(value)
+        _apply_step(phi.params, grads, cfg.lr_phi, "phi")
     return trace
 
 
@@ -293,15 +420,15 @@ def update_mixture(
 ) -> list[float]:
     """Gradient-descent steps on the dual value w.r.t. alpha/mu/log_sigma,
     potential frozen — pulls the mixture toward the class's data."""
+    z = z_batch.data
+    m = cfg.n_mix_samples or z.shape[0]
+    p = _potential_forward(phi, z)[1]
     trace = []
     for _ in range(cfg.n_mix_steps):
-        phi.params.zero_grad()
-        mix.params.zero_grad()
-        value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
-        trace.append(value.item())
-        ad.backward(value)
-        mix.params.step(cfg.lr_mix)
-        phi.params.zero_grad()
+        step_noise = _draw_noise(m, mix.n_components, mix.feat_dim, rng, noise)
+        value, grads = mixture_value_and_grad(z, p, mix, cfg, step_noise)
+        trace.append(value)
+        _apply_step(mix.params, grads, -cfg.lr_mix, "mixture")
     return trace
 
 
@@ -346,19 +473,35 @@ def otmm_step(
     Features must arrive detached (plain arrays). Classes not in the batch
     are untouched; classes seen for the first time get their mixture anchored
     on this batch's features. Returns per-class objective traces.
+
+    A non-finite update raises NumericsError with the class id, phase and
+    parameter, and leaves that class's state as it was before the call.
     """
     report: dict[int, dict[str, list[float]]] = {}
     for c in sorted(features_by_class):
         feats = np.asarray(features_by_class[c], dtype=np.float64)
         if feats.shape[0] == 0:
             continue
+        is_new = c not in state.mixtures
         state.ensure_class(c, feats)
         z = Tensor(feats)
         mix, phi = state.mixtures[c], state.potentials[c]
-        report[c] = {
-            "phi": update_phi(z, mix, phi, cfg, rng),
-            "mixture": update_mixture(z, mix, phi, cfg, rng),
-        }
+        tensors = mix.params.tensors() + phi.params.tensors()
+        saved = [t.data.copy() for t in tensors]
+        try:
+            report[c] = {
+                "phi": update_phi(z, mix, phi, cfg, rng),
+                "mixture": update_mixture(z, mix, phi, cfg, rng),
+            }
+        except NumericsError as err:
+            # leave the class as it was before this call
+            if is_new:
+                del state.mixtures[c], state.potentials[c]
+            for t, data in zip(tensors, saved):
+                np.copyto(t.data, data)
+            raise NumericsError(
+                f"class {c}: {err}", class_id=c, phase=err.phase, param=err.param
+            ) from err
     return report
 
 

@@ -168,7 +168,7 @@ class TestSgdStep:
         ps = ParamSet()
         p = ps.add("p", [1.0])
         p.grad[:] = 2.0
-        ad.sgd_step(ps, lr=0.1)
+        ps.step(0.1)
         np.testing.assert_allclose(p.data, [0.8], rtol=1e-15)
         np.testing.assert_allclose(p.grad, [0.0])
 
@@ -177,7 +177,7 @@ class TestSgdStep:
         p = ps.add("p", [1.0])
         for _ in range(2):
             ad.backward(ad.scale(ad.tsum(ad.mul(p, p)), 0.5), ps)
-            ad.sgd_step(ps, lr=0.5)
+            ps.step(0.5)
         assert p.data[0] == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("lr", [0.0, -0.1])
@@ -185,14 +185,14 @@ class TestSgdStep:
         ps = ParamSet()
         ps.add("p", [1.0])
         with pytest.raises(ValueError):
-            ad.sgd_step(ps, lr=lr)
+            ps.step(lr)
 
     def test_bitwise_deterministic(self):
         def run():
             ps = ParamSet()
             p = ps.add("p", np.linspace(-1, 1, 17))
             p.grad[:] = np.sin(np.arange(17.0))
-            ad.sgd_step(ps, lr=0.037)
+            ps.step(0.037)
             return p.data.tobytes()
 
         assert run() == run()
@@ -202,7 +202,7 @@ class TestSgdStep:
         p = ps.add("p", [1.0])
         p.grad[:] = np.inf
         with pytest.raises(ad.NumericsError):
-            ad.sgd_step(ps, lr=0.1)
+            ps.step(0.1)
 
 
 class TestFiniteDiffCheck:
@@ -261,5 +261,5 @@ class TestParamSet:
         g = rng.normal(size=6)
         t.grad[:] = g
         before = t.data.copy()
-        ad.sgd_step(ps, lr=0.2)
+        ps.step(0.2)
         np.testing.assert_array_equal(t.data, before - 0.2 * g)

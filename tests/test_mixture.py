@@ -5,13 +5,16 @@ recovery) are the ones that actually certify the estimator; the rest pin the
 algebra of each piece.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
+from otcl import autodiff as ad
 from otcl import data as dt
 from otcl import mixture as mx
 from otcl import model
-from otcl.autodiff import Tensor, finite_diff_check
+from otcl.autodiff import NumericsError, Tensor, finite_diff_check
 from otcl.ot_ref import DiscreteMeasure, sinkhorn_distance
 
 
@@ -21,6 +24,50 @@ def zeroed_potential(feat_dim: int) -> mx.DualPotential:
     for name in phi.params.names():
         phi.params[name].data[...] = 0.0
     return phi
+
+
+def dual_value_exact(z_batch, atoms, weights, phi, epsilon) -> float:
+    """Semi-dual value for a mixture collapsed to a known discrete measure.
+
+    Replaces the Monte-Carlo expectation over draws with the exact weighted
+    sum over atoms, to compare against Sinkhorn without sampling error.
+    """
+    zb = Tensor(np.asarray(z_batch, dtype=np.float64))
+    conj = mx.phi_tilde(Tensor(np.asarray(atoms, dtype=np.float64)), zb, phi, epsilon)
+    return float(phi.forward(zb).data.mean() + (np.asarray(weights) * conj.data).sum())
+
+
+def reference_update_phi(z_batch, mix, phi, cfg, rng=None, noise=None):
+    """Autodiff oracle for mx.update_phi: back-propagate the whole graph of
+    dual_objective, keep the potential's gradient, drop the mixture's."""
+    trace = []
+    for _ in range(cfg.n_phi_steps):
+        phi.params.zero_grad()
+        mix.params.zero_grad()
+        value = mx.dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
+        trace.append(value.item())
+        ad.backward(ad.neg(value))  # ascend: descend the negation
+        phi.params.step(cfg.lr_phi)
+        mix.params.zero_grad()
+    return trace
+
+
+def reference_update_mixture(z_batch, mix, phi, cfg, rng=None, noise=None):
+    """Autodiff oracle for mx.update_mixture."""
+    trace = []
+    for _ in range(cfg.n_mix_steps):
+        phi.params.zero_grad()
+        mix.params.zero_grad()
+        value = mx.dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
+        trace.append(value.item())
+        ad.backward(value)
+        mix.params.step(cfg.lr_mix)
+        phi.params.zero_grad()
+    return trace
+
+
+def param_arrays(params) -> dict[str, np.ndarray]:
+    return {n: params[n].data.copy() for n in params.names()}
 
 
 def degenerate_mixture(atoms: np.ndarray, weights: np.ndarray) -> mx.ClassMixture:
@@ -455,6 +502,159 @@ def test_mixture_state_round_trips_through_checkpoint(tmp_path):
         np.testing.assert_array_equal(fresh.params[n].data, state.mixtures[4].params[n].data)
 
 
+# ------------------------------- closed-form step against the autodiff oracle
+
+
+def random_problem(k: int, n: int, n_mix_samples, seed: int = 0, hidden: int = 64):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 3))
+    mix = mx.ClassMixture(k, 3)
+    mix.params["alpha"].data[...] = rng.standard_normal(k)
+    mix.params["mu"].data[...] = rng.standard_normal((k, 3))
+    mix.params["log_sigma"].data[...] = np.log(rng.uniform(0.3, 1.0, (k, 3)))
+    phi = mx.DualPotential(3, seed=seed + 1, hidden=hidden)
+    cfg = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=n_mix_samples)
+    noise = mx.draw_mixture_noise(n_mix_samples or n, k, 3, rng)
+    return z, mix, phi, cfg, noise
+
+
+def gradient_rel_err(got: dict, want: dict) -> float:
+    """Max-norm relative error of one side's whole gradient vector. Some
+    entries are zero in exact arithmetic (b2, whose gradient sums
+    d value/d p over the batch), so entries are not compared one by one."""
+    assert got.keys() == want.keys()
+    diff = max(np.abs(got[k] - want[k]).max() for k in want)
+    scale = max(np.abs(want[k]).max() for k in want)
+    return 0.0 if diff == 0 else diff / scale
+
+
+@pytest.mark.parametrize("n_mix_samples", [None, 64])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("k", [1, 4])
+def test_closed_form_value_and_gradients_match_autodiff(k, n, n_mix_samples):
+    z, mix, phi, cfg, noise = random_problem(k, n, n_mix_samples, seed=10 * k + n)
+    value = mx.dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
+    ad.backward(value)
+    want_phi = {name: t.grad for name, t in phi.params.items()}
+    want_mix = {name: t.grad for name, t in mix.params.items()}
+
+    phi_value, phi_grads = mx.phi_value_and_grad(z, mix, phi, cfg, noise)
+    p = phi.forward(Tensor(z)).data
+    mix_value, mix_grads = mx.mixture_value_and_grad(z, p, mix, cfg, noise)
+
+    for got in (phi_value, mix_value):
+        assert abs(got - value.item()) <= 1e-12 * abs(value.item())
+    assert gradient_rel_err(phi_grads, want_phi) <= 1e-12
+    assert gradient_rel_err(mix_grads, want_mix) <= 1e-12
+
+
+def closed_form_loss(value_and_grad, params):
+    """Wrap a closed-form (value, grads) pair as a graph leaf whose backward
+    hands out those grads, so finite_diff_check can test them against the
+    closed-form value itself."""
+
+    def loss():
+        value, grads = value_and_grad()
+        out = Tensor(np.array(value), _parents=tuple(params.tensors()))
+        out._vjp = lambda g: tuple(g * grads[name] for name in params.names())
+        return out
+
+    return loss
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_closed_form_gradients_pass_central_differences(k):
+    z, mix, phi, cfg, noise = random_problem(k, 5, 16, seed=30 + k, hidden=8)
+    p = phi.forward(Tensor(z)).data
+
+    phi_loss = closed_form_loss(lambda: mx.phi_value_and_grad(z, mix, phi, cfg, noise), phi.params)
+    mix_loss = closed_form_loss(lambda: mx.mixture_value_and_grad(z, p, mix, cfg, noise), mix.params)
+    assert finite_diff_check(phi_loss, phi.params) <= 1e-4
+    assert finite_diff_check(mix_loss, mix.params) <= 1e-4
+
+
+def test_otmm_step_matches_autodiff_reference(monkeypatch):
+    data_rng = np.random.default_rng(40)
+    feats = {0: data_rng.standard_normal((6, 3)), 2: data_rng.standard_normal((3, 3)) + 2.0}
+    cfg = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_phi_steps=5, n_mix_steps=3, lr_phi=0.05)
+    state = mx.OtmmState(n_components=3, feat_dim=3, seed=1)
+    mx.otmm_step(feats, state, cfg, np.random.default_rng(0))  # warm, non-trivial state
+    ref_state = copy.deepcopy(state)
+
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    report = mx.otmm_step(feats, state, cfg, rng)
+    monkeypatch.setattr(mx, "update_phi", reference_update_phi)
+    monkeypatch.setattr(mx, "update_mixture", reference_update_mixture)
+    ref_report = mx.otmm_step(feats, ref_state, cfg, ref_rng)
+
+    assert report.keys() == ref_report.keys()
+    for c in report:
+        for phase in ("phi", "mixture"):
+            np.testing.assert_allclose(report[c][phase], ref_report[c][phase], rtol=1e-12)
+        for params, ref_params in (
+            (state.mixtures[c].params, ref_state.mixtures[c].params),
+            (state.potentials[c].params, ref_state.potentials[c].params),
+        ):
+            for name in params.names():
+                np.testing.assert_allclose(
+                    params[name].data, ref_params[name].data, rtol=1e-12, atol=1e-15
+                )
+    assert rng.random() == ref_rng.random()  # same stream position
+
+
+def test_nonfinite_features_raise_at_origin_and_leave_class_unchanged():
+    rng = np.random.default_rng(50)
+    state = make_state(seed=2)
+    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=8)
+    mx.otmm_step({0: rng.standard_normal((4, 2)), 5: rng.standard_normal((4, 2))}, state, cfg, rng)
+    before = {
+        c: (param_arrays(state.mixtures[c].params), param_arrays(state.potentials[c].params))
+        for c in state.known()
+    }
+    bad = rng.standard_normal((4, 2))
+    bad[2] = [np.nan, 1.0]
+    with pytest.raises(NumericsError) as info:
+        mx.otmm_step({5: bad}, state, cfg, rng)
+    assert (info.value.class_id, info.value.phase) == (5, "phi")
+    assert "class 5" in str(info.value) and "phi" in str(info.value)
+    assert info.value.param in state.potentials[5].params
+    for c, (mix_before, phi_before) in before.items():
+        for name, v in mix_before.items():
+            np.testing.assert_array_equal(state.mixtures[c].params[name].data, v)
+        for name, v in phi_before.items():
+            np.testing.assert_array_equal(state.potentials[c].params[name].data, v)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the error
+def test_mixture_phase_failure_rolls_back_the_whole_class_step():
+    # A rate this large makes the first mixture step finite but the second
+    # overflow exp(log_sigma); the potential's successful ascent steps in the
+    # same call must be undone too.
+    rng = np.random.default_rng(51)
+    state = make_state(seed=3)
+    feats = {1: rng.standard_normal((5, 2))}
+    mx.otmm_step(feats, state, mx.OtmmConfig(n_mix_samples=8), rng)
+    mix_before = param_arrays(state.mixtures[1].params)
+    phi_before = param_arrays(state.potentials[1].params)
+    cfg = mx.OtmmConfig(n_phi_steps=3, n_mix_steps=2, n_mix_samples=8, lr_mix=1e300)
+    with pytest.raises(NumericsError) as info:
+        mx.otmm_step(feats, state, cfg, rng)
+    assert (info.value.class_id, info.value.phase) == (1, "mixture")
+    for name, v in mix_before.items():
+        np.testing.assert_array_equal(state.mixtures[1].params[name].data, v)
+    for name, v in phi_before.items():
+        np.testing.assert_array_equal(state.potentials[1].params[name].data, v)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the error
+def test_failed_first_step_does_not_add_the_class():
+    state = make_state()
+    bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
+    with pytest.raises(NumericsError):
+        mx.otmm_step({4: bad}, state, mx.OtmmConfig(), np.random.default_rng(0))
+    assert state.known() == []
+
+
 # ------------------------------------------- agreement with the oracle
 
 
@@ -483,7 +683,7 @@ def test_maximized_dual_matches_sinkhorn_value(eps, seed):
     phi = mx.DualPotential(2, seed=seed)
 
     ascend_potential_to_optimum(Tensor(zb), mix, phi, eps)
-    dual = mx.dual_value_exact(zb, atoms, weights, phi, eps)
+    dual = dual_value_exact(zb, atoms, weights, phi, eps)
 
     sink, _ = sinkhorn_distance(
         DiscreteMeasure.uniform(zb), DiscreteMeasure(atoms, weights), epsilon=eps
