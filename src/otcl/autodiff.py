@@ -16,14 +16,20 @@ import numpy as np
 class NumericsError(RuntimeError):
     """A non-finite value reached, or was about to reach, parameter state.
 
-    `class_id`, `phase` and `param` say where, when the raiser knows.
+    `class_id`, `phase` and `param` say where, when the raiser knows; the
+    harness adds the `seed`, `task` and `batch` (1-based) it was running.
     """
 
-    def __init__(self, message: str, *, class_id=None, phase=None, param=None):
+    def __init__(
+        self, message: str, *, class_id=None, phase=None, param=None, seed=None, task=None, batch=None
+    ):
         super().__init__(message)
         self.class_id = class_id
         self.phase = phase
         self.param = param
+        self.seed = seed
+        self.task = task
+        self.batch = batch
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -394,15 +400,26 @@ class ParamSet:
             t.zero_grad()
 
     def step(self, lr: float):
-        """One SGD step: p <- p - lr * grad, then zero the accumulators."""
+        """One SGD step: p <- p - lr * grad, then zero the accumulators.
+
+        Each new value is computed in its gradient buffer (p + (-lr) * grad,
+        bit for bit p - lr * grad) and every one is checked before any is
+        written: a non-finite step leaves all parameters unchanged and names
+        the first non-finite one in insertion order.
+        """
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        for t in self._params.values():
+            t.grad *= -lr
+            t.grad += t.data
         for name, t in self._params.items():
-            t.data -= lr * t.grad
-            if not np.isfinite(t.data).all():
+            if not np.isfinite(t.grad).all():
+                self.zero_grad()
                 raise NumericsError(
                     f"non-finite values in parameter {name!r} after step", param=name
                 )
+        for t in self._params.values():
+            np.copyto(t.data, t.grad)
         self.zero_grad()
 
 

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autodiff import NumericsError
 from .data import Batch, LabeledSample, SynthSpec, gen_synthetic, load_idx, make_split_stream
 from .losses import PreservationConfig, dynamic_preservation_step
 from .mixture import (
@@ -259,44 +260,51 @@ def _run_single_seed(
 
     for t_idx, task in enumerate(stream.tasks):
         for b_idx, batch in enumerate(task.batches):
-            new_ids = sorted(set(batch.labels.tolist()) - set(protos.known()))
-            if new_ids:
-                protos.init_new_classes(new_ids, seed=int(proto_rng.integers(2**31)))
+            try:
+                new_ids = sorted(set(batch.labels.tolist()) - set(protos.known()))
+                if new_ids:
+                    protos.init_new_classes(new_ids, seed=int(proto_rng.integers(2**31)))
 
-            replay = merge_class_batches(
-                sample_replay_batch(mem, cfg.batch_size, replay_rng)
-            )
-            dynamic_preservation_step(batch, replay, fe, protos, cfg.preservation)
-
-            if replay is None:
-                union = batch
-            else:
-                union = Batch(
-                    features=np.concatenate([batch.features, replay.features]),
-                    labels=np.concatenate([batch.labels, replay.labels]),
+                replay = merge_class_batches(
+                    sample_replay_batch(mem, cfg.batch_size, replay_rng)
                 )
-            feats = fe.features_np(union.features)
-            otmm_step(split_by_class(feats, union.labels), state, cfg.otmm, otmm_rng)
+                dynamic_preservation_step(batch, replay, fe, protos, cfg.preservation)
 
-            new_feats = feats[: len(batch)]
-            for c, rows in sorted(split_by_class(batch.features, batch.labels).items()):
-                mask = batch.labels == c
-                class_batch = Batch(features=rows, labels=batch.labels[mask])
-                if cfg.random_insertion:
-                    insert_random(
-                        mem, class_batch, _insertion_budget(mem, c, cfg.n_centroids)
-                    )
+                if replay is None:
+                    union = batch
                 else:
-                    insert_with_centroids(
-                        mem, class_batch, new_feats[mask], state.mixtures[c].centroids()
+                    union = Batch(
+                        features=np.concatenate([batch.features, replay.features]),
+                        labels=np.concatenate([batch.labels, replay.labels]),
                     )
+                feats = fe.features_np(union.features)
+                otmm_step(split_by_class(feats, union.labels), state, cfg.otmm, otmm_rng)
 
-            if cfg.eval_every_batch:
-                seen = test_batches[: t_idx + 1]
-                avg = float(
-                    np.mean([evaluate_task(tb, fe, state.mixtures) for tb in seen])
-                )
-                curve.append((t_idx + 1, b_idx + 1, avg))
+                new_feats = feats[: len(batch)]
+                for c, rows in sorted(split_by_class(batch.features, batch.labels).items()):
+                    mask = batch.labels == c
+                    class_batch = Batch(features=rows, labels=batch.labels[mask])
+                    if cfg.random_insertion:
+                        insert_random(
+                            mem, class_batch, _insertion_budget(mem, c, cfg.n_centroids)
+                        )
+                    else:
+                        insert_with_centroids(
+                            mem, class_batch, new_feats[mask], state.mixtures[c].centroids()
+                        )
+
+                if cfg.eval_every_batch:
+                    seen = test_batches[: t_idx + 1]
+                    avg = float(
+                        np.mean([evaluate_task(tb, fe, state.mixtures) for tb in seen])
+                    )
+                    curve.append((t_idx + 1, b_idx + 1, avg))
+            except NumericsError as err:
+                raise NumericsError(
+                    f"seed {seed} task {t_idx + 1} batch {b_idx + 1}: {err}",
+                    class_id=err.class_id, phase=err.phase, param=err.param,
+                    seed=seed, task=t_idx + 1, batch=b_idx + 1,
+                ) from err
 
         rebalance_quotas(mem, (t_idx + 1) * cfg.classes_per_task)
         row = [

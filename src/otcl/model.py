@@ -69,10 +69,6 @@ class FeatureExtractor:
         return np.concatenate(outs, axis=0) if outs else np.zeros((0, self.feat_dim))
 
 
-def extract_features(fe: FeatureExtractor, x) -> Tensor:
-    return fe.forward(x if isinstance(x, Tensor) else Tensor(x))
-
-
 class ClassPrototypes:
     """One trainable direction per class; logits are plain dot products.
 
@@ -115,10 +111,6 @@ class ClassPrototypes:
         if not ids:
             raise ValueError("no classes initialized")
         return ad.concat_rows(*(self.params[f"proto_{c}"] for c in ids))
-
-    def row(self, class_id: int) -> Tensor:
-        self.require([class_id])
-        return self.params[f"proto_{class_id}"]
 
 
 def class_logits(z: Tensor, protos: ClassPrototypes, class_ids=None) -> Tensor:

@@ -204,6 +204,23 @@ class TestSgdStep:
         with pytest.raises(ad.NumericsError):
             ps.step(0.1)
 
+    def test_nonfinite_extractor_step_names_parameter_and_writes_nothing(self):
+        # w0 is stepped before w1 in insertion order: checking before
+        # writing must leave it unchanged too
+        from otcl.model import FeatureExtractor
+
+        fe = FeatureExtractor(5, 3, seed=0, hidden=4)
+        rng = np.random.default_rng(0)
+        for t in fe.params.tensors():
+            t.grad[...] = rng.standard_normal(t.data.shape)
+        fe.params["w1"].grad[1, 2] = np.inf
+        before = {name: t.data.copy() for name, t in fe.params.items()}
+        with pytest.raises(ad.NumericsError) as info:
+            fe.params.step(0.1)
+        assert info.value.param == "w1"
+        for name, t in fe.params.items():
+            np.testing.assert_array_equal(t.data, before[name])
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_error_tiny(self):

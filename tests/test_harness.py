@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from otcl.autodiff import NumericsError
 from otcl.data import Batch, SynthSpec, ring_centers
 from otcl.harness import (
     AccMatrix,
@@ -362,6 +363,25 @@ def test_partial_metrics_flushed_on_failure(tmp_path, monkeypatch):
     with open(tmp_path / "summary.json") as fh:
         s = json.load(fh)
     assert "error" in s and "mid-run failure" in s["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error
+def test_numerics_error_carries_seed_task_and_batch(tmp_path):
+    cfg = tiny_run_config(
+        out_dir=str(tmp_path), seeds=(3,), otmm=OtmmConfig(n_mix_samples=8, lr_mix=1e300)
+    )
+    with pytest.raises(NumericsError) as info:
+        run_experiment(cfg)
+    err = info.value
+    assert (err.seed, err.task, err.batch) == (3, 1, 1)
+    assert (err.class_id, err.phase) == (0, "mixture")
+    assert err.param in ("alpha", "mu", "log_sigma")
+    assert str(err).startswith("seed 3 task 1 batch 1: class 0: non-finite mixture step")
+    with open(tmp_path / "summary.json") as fh:
+        s = json.load(fh)
+    assert "seed 3 task 1 batch 1: class" in s["error"]
+    with open(tmp_path / "metrics.csv") as fh:
+        assert fh.read().strip() == "seed,task_index,eval_task,accuracy"
 
 
 def test_missing_mnist_dir_raises_file_not_found(tmp_path):
