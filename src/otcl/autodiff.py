@@ -6,6 +6,12 @@ distances and row gather/select. Every loss in this package is a composition
 of these, so gradients can be checked coordinate-by-coordinate against
 central finite differences. Stochastic inputs (Gumbel and Gaussian draws)
 enter the graph as constants, which keeps backward deterministic.
+
+Training builds no graph: the transport step (`mixture`) and the
+preservation step (`losses`, `model`) compute their gradients in closed form
+on numpy arrays, and the graphs of their losses built here are the oracles
+the tests hold them to. `ParamSet` holds every trainable array with its
+gradient buffer and takes the checked SGD step.
 """
 
 from __future__ import annotations
@@ -147,7 +153,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     out = Tensor(a.data @ b.data, _parents=(a, b))
-    out._vjp = lambda g: (g @ b.data.T, a.data.T @ g)
+    out._vjp = lambda g: (
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None,
+    )
     return out
 
 
@@ -295,8 +304,8 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.einsum("nmd,nmd->nm", diff, diff), _parents=(a, b))
 
     def vjp(g):
-        ga = 2.0 * np.einsum("nm,nmd->nd", g, diff)
-        gb = -2.0 * np.einsum("nm,nmd->md", g, diff)
+        ga = 2.0 * np.einsum("nm,nmd->nd", g, diff) if a.requires_grad else None
+        gb = -2.0 * np.einsum("nm,nmd->md", g, diff) if b.requires_grad else None
         return (ga, gb)
 
     out._vjp = vjp
@@ -309,6 +318,9 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 
 def backward(loss: Tensor, params: "ParamSet | None" = None) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's `.grad`.
+
+    A primitive's vjp returns None for an operand that needs no gradient
+    (an input batch, a constant), which is skipped.
 
     The loss must be scalar and built from the primitives above; anything
     else in the graph simply does not exist, so unsupported structures fail
@@ -348,7 +360,7 @@ def backward(loss: Tensor, params: "ParamSet | None" = None) -> None:
             node.grad += g.reshape(node.data.shape)
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad:
+            if pg is None or not parent.requires_grad:
                 continue
             acc = cotangent.get(id(parent))
             if acc is None:

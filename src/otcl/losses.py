@@ -10,6 +10,14 @@ The two phases run per incoming joint batch (stream batch plus replay draw):
 2. compression — per-class means of the current features become constant
    anchors; samples are pulled to their own anchor and pushed from the rest.
    Only the extractor moves here.
+
+`loss_separation` and `loss_compression` build these losses as autodiff
+graphs; they are the oracles. Training does not use them:
+`dynamic_preservation_step` computes each loss and its gradients in closed
+form on numpy arrays (`separation_value_and_grad`,
+`compression_value_and_grad`, `FeatureExtractor.backward_np`), in the
+summation order of the graphs, so every update is bit for bit the one
+`ad.backward` of the oracle would give.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericsError, Tensor
 from .data import Batch
 from .model import ClassPrototypes, FeatureExtractor, class_logits
 
@@ -137,6 +145,106 @@ def join_batches(new_batch: Batch, replay_batch: Batch | None) -> Batch:
     )
 
 
+def separation_value_and_grad(
+    z: np.ndarray, labels: np.ndarray, protos: ClassPrototypes
+) -> tuple[float, np.ndarray]:
+    """`loss_separation` on plain arrays: its value and its gradient with
+    respect to `z`; the gradient of every prototype row is written into
+    that row's `.grad`."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    protos.require(labels.tolist())
+    known = protos.known()
+    rows = [protos.params[f"proto_{c}"] for c in known]
+    w = np.concatenate([t.data for t in rows], axis=0)
+    true_col = np.searchsorted(known, labels)
+    weights = _class_weights(labels)
+    idx = np.arange(labels.size)
+
+    logits = z @ w.T
+    m = logits.max(axis=1, keepdims=True)
+    shifted = np.exp(logits - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    lse = (m + np.log(total))[:, 0]
+    value = float(((lse - logits[idx, true_col]) * weights).sum())
+
+    # d/dlogits: softmax from the log-sum-exp, minus the one-hot of the
+    # gathered logit, each weighted; summed as the graph sums its two paths
+    g_logits = weights[:, None] * (shifted / total)
+    picked = np.zeros_like(g_logits)
+    picked[idx, true_col] = -weights
+    g_logits += picked
+    g_w = (z.T @ g_logits).T
+    for j, t in enumerate(rows):
+        t.grad[0] = g_w[j]
+    return value, g_logits @ w
+
+
+def compression_value_and_grad(
+    z: np.ndarray, labels: np.ndarray, means: dict[int, np.ndarray]
+) -> tuple[float, np.ndarray]:
+    """`loss_compression` on plain arrays: its value and its gradient with
+    respect to `z` (the means are constants)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    present, own_col, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    missing = [int(c) for c in present if int(c) not in means]
+    if missing:
+        raise KeyError(f"no mean prototype for classes {missing}")
+    anchors = np.stack([means[int(c)] for c in present])
+    weights = 1.0 / counts[own_col]  # as _class_weights
+    idx = np.arange(labels.size)
+
+    diff = z[:, None, :] - anchors[None, :, :]
+    dists = np.einsum("nmd,nmd->nm", diff, diff)
+    neg = -dists
+    m = neg.max(axis=1, keepdims=True)
+    shifted = np.exp(neg - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    repel = (m + np.log(total))[:, 0]
+    value = float(((dists[idx, own_col] + repel) * weights).sum())
+
+    # d/ddists: the one-hot of the own anchor minus the softmin over anchors,
+    # each weighted; summed as the graph sums its two paths
+    g_dists = np.zeros_like(dists)
+    g_dists[idx, own_col] = weights
+    g_dists += -(weights[:, None] * (shifted / total))
+    return value, 2.0 * np.einsum("nm,nmd->nd", g_dists, diff)
+
+
+def _step_extractor(fe: FeatureExtractor, protos: ClassPrototypes, lr: float, phase: str) -> None:
+    """`ParamSet.step` on the extractor, with the phase added to a failure
+    (which writes nothing and drops every pending gradient)."""
+    try:
+        fe.params.step(lr)
+    except NumericsError as err:
+        protos.params.zero_grad()
+        raise NumericsError(
+            f"non-finite {phase} step for parameter {err.param!r}",
+            phase=phase, param=err.param,
+        ) from err
+
+
+def _check_prototype_step(
+    fe: FeatureExtractor, protos: ClassPrototypes, cfg: PreservationConfig, old_classes
+) -> None:
+    """Raise before anything is written if the step `apply_clip_grad` is
+    about to take would make a prototype row non-finite."""
+    old = set(old_classes)
+    for c in protos.known():
+        t = protos.params[f"proto_{c}"]
+        factor = cfg.clip_alpha if c in old else 1.0
+        if not np.isfinite(t.data - cfg.lr_proto * factor * t.grad).all():
+            fe.params.zero_grad()
+            protos.params.zero_grad()
+            raise NumericsError(
+                f"non-finite separation step for parameter 'proto_{c}'",
+                phase="separation", param=f"proto_{c}",
+            )
+
+
 def dynamic_preservation_step(
     new_batch: Batch,
     replay_batch: Batch | None,
@@ -149,32 +257,38 @@ def dynamic_preservation_step(
     Runs `steps_l1` separation updates (extractor full-rate, prototypes
     clip-controlled), freezes the per-class means of the resulting features,
     then runs `steps_l2` compression updates on the extractor alone.
+
+    A separation step whose new extractor or prototype values are not all
+    finite writes none of them (prototypes are checked first), and a
+    compression step likewise; either raises `NumericsError` with the
+    `phase` ('separation' or 'compression') and the `param` it found.
     """
     joint = join_batches(new_batch, replay_batch)
     new_classes = set(new_batch.labels.tolist())
     old_classes = [c for c in protos.known() if c not in new_classes]
 
-    x = Tensor(joint.features)
+    x = np.asarray(joint.features, dtype=np.float64)
     sep_trace, comp_trace = [], []
 
     for _ in range(cfg.steps_l1):
-        z = fe.forward(x)
-        loss = loss_separation(z, joint.labels, protos)
-        sep_trace.append(loss.item())
-        fe.params.zero_grad()
-        protos.params.zero_grad()
-        ad.backward(loss)
-        fe.params.step(cfg.lr_theta)
+        z, hidden = fe.forward_np(x)
+        value, gz = separation_value_and_grad(z, joint.labels, protos)
+        sep_trace.append(value)
+        fe.backward_np(x, hidden, gz)
+        _check_prototype_step(fe, protos, cfg, old_classes)
+        _step_extractor(fe, protos, cfg.lr_theta, "separation")
         apply_clip_grad(protos, cfg.clip_alpha, cfg.lr_proto, old_classes)
 
-    means = compute_mean_prototypes(fe.features_np(joint.features), joint.labels)
+    # the means are frozen from the features the first compression step sees
+    z, hidden = fe.forward_np(x)
+    means = compute_mean_prototypes(z, joint.labels)
 
-    for _ in range(cfg.steps_l2):
-        z = fe.forward(x)
-        loss = loss_compression(z, joint.labels, means)
-        comp_trace.append(loss.item())
-        fe.params.zero_grad()
-        ad.backward(loss)
-        fe.params.step(cfg.lr_theta)
+    for step in range(cfg.steps_l2):
+        if step:
+            z, hidden = fe.forward_np(x)
+        value, gz = compression_value_and_grad(z, joint.labels, means)
+        comp_trace.append(value)
+        fe.backward_np(x, hidden, gz)
+        _step_extractor(fe, protos, cfg.lr_theta, "compression")
 
     return {"separation": sep_trace, "compression": comp_trace, "means": means}

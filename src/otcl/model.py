@@ -1,8 +1,12 @@
 """Feature extractor and per-class prototype logit head.
 
-The extractor is a plain ReLU MLP (input -> 400 -> 400 -> feat_dim) over the
-shared autodiff tensors. Class logits are pure inner products against one
-trainable prototype row per class seen so far — no bias, no normalization.
+The extractor is a plain ReLU MLP (input -> 400 -> 400 -> feat_dim). It
+trains on plain numpy arrays: `forward_np` is the one numpy definition of
+the network (inference goes through it too, via `features_np`) and
+`backward_np` writes the parameter gradients in place. `forward`, over the
+autodiff tensors, is the oracle the tests check both against. Class logits
+are pure inner products against one trainable prototype row per class seen
+so far — no bias, no normalization.
 """
 
 from __future__ import annotations
@@ -55,18 +59,52 @@ class FeatureExtractor:
         h = ad.relu(ad.add(ad.matmul(h, self.params["w1"]), self.params["b1"]))
         return ad.add(ad.matmul(h, self.params["w2"]), self.params["b2"])
 
-    def features_np(self, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Inference-only forward pass on raw arrays (no graph, chunked)."""
-        x = np.asarray(x, dtype=np.float64)
+    def forward_np(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Graph-free forward pass: features (n, feat_dim) and the two ReLU
+        outputs, which `backward_np` takes (their positive entries are the
+        ReLU masks)."""
         if x.shape[-1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
         p = self.params
-        outs = []
-        for i in range(0, x.shape[0], chunk):
-            h = np.maximum(x[i : i + chunk] @ p["w0"].data + p["b0"].data, 0.0)
-            h = np.maximum(h @ p["w1"].data + p["b1"].data, 0.0)
-            outs.append(h @ p["w2"].data + p["b2"].data)
-        return np.concatenate(outs, axis=0) if outs else np.zeros((0, self.feat_dim))
+        hidden = []
+        h = x
+        for i in (0, 1):
+            h = h @ p[f"w{i}"].data
+            h += p[f"b{i}"].data
+            np.maximum(h, 0.0, out=h)
+            hidden.append(h)
+        z = h @ p["w2"].data
+        z += p["b2"].data
+        return z, hidden
+
+    def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
+        """Write d(loss)/d(parameter) into every parameter's `.grad`, given
+        the cotangent `gz` of the features of `x` and the `hidden` outputs
+        of `forward_np(x)`.
+
+        Each product and sum is the one the autodiff graph of `forward`
+        computes, so the gradients are bit for bit those of `ad.backward`.
+        The gradient of the input batch is never formed.
+        """
+        p = self.params
+        inputs = (x, *hidden)
+        g = gz
+        for i in (2, 1, 0):
+            np.sum(g, axis=0, keepdims=True, out=p[f"b{i}"].grad)
+            np.matmul(inputs[i].T, g, out=p[f"w{i}"].grad)
+            if i:
+                g = g @ p[f"w{i}"].data.T
+                g *= inputs[i] > 0
+
+    def features_np(self, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
+        """Inference-only forward pass on raw arrays (no graph, chunked)."""
+        x = np.asarray(x, dtype=np.float64)
+        # an empty batch still makes one (empty) chunk: same input check
+        outs = [
+            self.forward_np(x[i : i + chunk])[0]
+            for i in range(0, max(x.shape[0], 1), chunk)
+        ]
+        return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 class ClassPrototypes:

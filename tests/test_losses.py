@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otcl import autodiff as ad
 from otcl import losses as L
-from otcl.autodiff import Tensor
+from otcl.autodiff import NumericsError, Tensor
 from otcl.data import Batch
 from otcl.model import ClassPrototypes, FeatureExtractor
 
@@ -356,3 +356,270 @@ class TestDynamicPreservationStep:
             L.PreservationConfig(clip_alpha=2.0)
         with pytest.raises(ValueError):
             L.PreservationConfig(steps_l1=-1)
+
+
+# ------------------------------------------------- closed form vs autodiff
+
+
+def reference_preservation_step(new_batch, replay_batch, fe, protos, cfg):
+    """Autodiff oracle for L.dynamic_preservation_step: the same pass with
+    each loss built as a graph (loss_separation, loss_compression over
+    fe.forward) and back-propagated by ad.backward. The means come from the
+    graph's forward too, so nothing here runs the numpy forward."""
+    joint = L.join_batches(new_batch, replay_batch)
+    new_classes = set(new_batch.labels.tolist())
+    old_classes = [c for c in protos.known() if c not in new_classes]
+
+    x = Tensor(joint.features)
+    sep_trace, comp_trace = [], []
+
+    for _ in range(cfg.steps_l1):
+        z = fe.forward(x)
+        loss = L.loss_separation(z, joint.labels, protos)
+        sep_trace.append(loss.item())
+        fe.params.zero_grad()
+        protos.params.zero_grad()
+        ad.backward(loss)
+        fe.params.step(cfg.lr_theta)
+        L.apply_clip_grad(protos, cfg.clip_alpha, cfg.lr_proto, old_classes)
+
+    means = L.compute_mean_prototypes(fe.forward(x).data, joint.labels)
+
+    for _ in range(cfg.steps_l2):
+        z = fe.forward(x)
+        loss = L.loss_compression(z, joint.labels, means)
+        comp_trace.append(loss.item())
+        fe.params.zero_grad()
+        ad.backward(loss)
+        fe.params.step(cfg.lr_theta)
+
+    return {"separation": sep_trace, "compression": comp_trace, "means": means}
+
+
+def class_stream(input_dim, n_steps, seed):
+    """Stream batches and replay draws of a short class-incremental run.
+
+    Three tasks of two classes over `n_steps` batches of 10 rows. Every
+    fifth batch holds one class only, and the first batch of a task has no
+    replay. Replay draws 8 rows from every class seen so far, the current
+    ones included, so the join drops some rows and keeps others.
+    """
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, size=(6, input_dim))
+
+    def rows(labels):
+        noise = rng.normal(scale=0.2, size=(labels.size, input_dim))
+        return Batch(np.clip(centres[labels] + noise, 0.0, 1.0), labels)
+
+    per_task = -(-n_steps // 3)
+    for s in range(n_steps):
+        task = s // per_task
+        pair = np.array([2 * task, 2 * task + 1])
+        labels = np.full(10, pair[0]) if s % 5 == 4 else rng.choice(pair, size=10)
+        replay = None
+        if s % per_task:
+            replay = rows(rng.integers(0, 2 * task + 2, size=8))
+        yield rows(labels), replay
+
+
+def twin_models(input_dim, feat_dim, hidden, seed=0):
+    return [
+        (FeatureExtractor(input_dim, feat_dim, seed=seed, hidden=hidden), ClassPrototypes(feat_dim))
+        for _ in range(2)
+    ]
+
+
+def param_bytes(fe, protos):
+    out = {n: t.data.tobytes() for n, t in fe.params.items()}
+    out |= {n: t.data.tobytes() for n, t in protos.params.items()}
+    return out
+
+
+def assert_step_matches_reference(shape, steps_l1, steps_l2, clip_alpha, n_steps=21):
+    input_dim, hidden, feat_dim = shape
+    cfg = L.PreservationConfig(
+        lr_theta=0.01, lr_proto=0.05, clip_alpha=clip_alpha, steps_l1=steps_l1, steps_l2=steps_l2
+    )
+    (fe, protos), (fe_ref, protos_ref) = twin_models(input_dim, feat_dim, hidden)
+    for s, (batch, replay) in enumerate(class_stream(input_dim, n_steps, seed=steps_l1 + 3 * steps_l2)):
+        new_ids = sorted(set(batch.labels.tolist()) - set(protos.known()))
+        if new_ids:
+            protos.init_new_classes(new_ids, seed=s)
+            protos_ref.init_new_classes(new_ids, seed=s)
+        got = L.dynamic_preservation_step(batch, replay, fe, protos, cfg)
+        want = reference_preservation_step(batch, replay, fe_ref, protos_ref, cfg)
+        assert param_bytes(fe, protos) == param_bytes(fe_ref, protos_ref), f"step {s}"
+        assert got["means"].keys() == want["means"].keys()
+        for c in want["means"]:
+            assert got["means"][c].tobytes() == want["means"][c].tobytes(), f"step {s}"
+        for phase in ("separation", "compression"):
+            assert len(got[phase]) == len(want[phase])
+            np.testing.assert_allclose(got[phase], want[phase], rtol=1e-12, atol=0)
+
+
+SMALL = (8, 32, 8)
+PAPER = (784, 400, 128)
+
+
+@pytest.mark.parametrize("clip_alpha", [0.0, 0.1])
+@pytest.mark.parametrize("steps_l2", [0, 1, 2])
+@pytest.mark.parametrize("steps_l1", [0, 1, 2])
+def test_step_matches_autodiff_reference_bit_for_bit(steps_l1, steps_l2, clip_alpha):
+    assert_step_matches_reference(SMALL, steps_l1, steps_l2, clip_alpha)
+
+
+@pytest.mark.parametrize(
+    "steps_l1, steps_l2, clip_alpha", [(1, 1, 0.1), (2, 2, 0.0), (0, 2, 0.1), (2, 0, 0.0)]
+)
+def test_step_matches_autodiff_reference_bit_for_bit_at_paper_shape(steps_l1, steps_l2, clip_alpha):
+    assert_step_matches_reference(PAPER, steps_l1, steps_l2, clip_alpha)
+
+
+def closed_form_loss(value_and_grad, params):
+    """Wrap a closed-form (value, grads) pair as a graph leaf whose backward
+    hands out those grads, so finite_diff_check can test them against the
+    closed-form value itself."""
+
+    def loss():
+        value, grads = value_and_grad()
+        out = Tensor(np.array(value), _parents=tuple(params.tensors()))
+        out._vjp = lambda g: tuple(g * grads[name] for name in params.names())
+        return out
+
+    return loss
+
+
+def closed_form_problem(seed):
+    rng = np.random.default_rng(seed)
+    fe = FeatureExtractor(3, feat_dim=2, seed=seed, hidden=4)
+    protos = make_protos(2, [0, 1, 2], seed=seed)
+    x = rng.normal(size=(6, 3))
+    labels = np.array([0, 0, 1, 1, 0, 1])
+    both = ad.ParamSet()
+    for name, t in list(fe.params.items()) + list(protos.params.items()):
+        both._params[name] = t  # same underlying tensors, one sweep
+    return fe, protos, x, labels, both
+
+
+def test_closed_form_separation_gradients_pass_central_differences():
+    fe, protos, x, labels, both = closed_form_problem(seed=11)
+
+    def value_and_grad():
+        z, hidden = fe.forward_np(x)
+        value, gz = L.separation_value_and_grad(z, labels, protos)
+        fe.backward_np(x, hidden, gz)
+        grads = {name: t.grad.copy() for name, t in both.items()}
+        both.zero_grad()
+        return value, grads
+
+    assert ad.finite_diff_check(closed_form_loss(value_and_grad, both), both, h=1e-5) <= 1e-4
+
+
+def test_closed_form_compression_gradients_pass_central_differences():
+    fe, _, x, labels, _ = closed_form_problem(seed=12)
+    means = L.compute_mean_prototypes(fe.features_np(x), labels)
+
+    def value_and_grad():
+        z, hidden = fe.forward_np(x)
+        value, gz = L.compression_value_and_grad(z, labels, means)
+        fe.backward_np(x, hidden, gz)
+        grads = {name: t.grad.copy() for name, t in fe.params.items()}
+        fe.params.zero_grad()
+        return value, grads
+
+    assert ad.finite_diff_check(closed_form_loss(value_and_grad, fe.params), fe.params, h=1e-5) <= 1e-4
+
+
+def test_features_np_is_the_training_forward():
+    rng = np.random.default_rng(13)
+    fe = FeatureExtractor(5, feat_dim=3, seed=13, hidden=6)
+    x = rng.normal(size=(9, 5))
+    np.testing.assert_array_equal(fe.features_np(x, chunk=4), fe.forward_np(x)[0])
+    np.testing.assert_allclose(fe.features_np(x), fe.forward(Tensor(x)).data, rtol=0, atol=0)
+
+
+# ------------------------------------------------- failures are atomic
+
+
+def two_task_problem():
+    """Class 0 old (replay only), class 1 new, both with prototypes."""
+    rng = np.random.default_rng(14)
+    fe = FeatureExtractor(4, feat_dim=3, seed=14, hidden=8)
+    protos = make_protos(3, [0, 1], seed=14)
+    new = Batch(rng.normal(scale=500.0, size=(6, 4)), np.ones(6, dtype=np.int64))
+    replay = Batch(rng.normal(scale=500.0, size=(4, 4)), np.zeros(4, dtype=np.int64))
+    return fe, protos, new, replay
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error
+def test_nonfinite_prototype_step_writes_nothing_and_names_the_prototype():
+    fe, protos, new, replay = two_task_problem()
+    before = param_bytes(fe, protos)
+    # the old prototype is frozen (clip 0); the new one's step overflows
+    cfg = L.PreservationConfig(lr_proto=1e308, clip_alpha=0.0, steps_l1=1, steps_l2=1)
+    with pytest.raises(NumericsError, match="proto_1") as info:
+        L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+    assert (info.value.phase, info.value.param) == ("separation", "proto_1")
+    assert param_bytes(fe, protos) == before
+    for t in list(fe.params.tensors()) + list(protos.params.tensors()):
+        assert not t.grad.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error
+@pytest.mark.parametrize(
+    "steps_l1, steps_l2, phase", [(1, 0, "separation"), (0, 1, "compression")]
+)
+def test_nonfinite_extractor_step_writes_nothing_and_names_the_phase(steps_l1, steps_l2, phase):
+    fe, protos, new, replay = two_task_problem()
+    before = param_bytes(fe, protos)
+    cfg = L.PreservationConfig(lr_theta=1e308, steps_l1=steps_l1, steps_l2=steps_l2)
+    with pytest.raises(NumericsError, match=phase) as info:
+        L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+    assert info.value.phase == phase
+    assert info.value.param in fe.params.names()
+    assert param_bytes(fe, protos) == before
+
+
+# ------------------------------------------------- oracle-path waste
+
+
+def matmul_all_cotangents(a, b):
+    """ad.matmul as it was before it skipped operands without gradients."""
+    out = Tensor(a.data @ b.data, _parents=(a, b))
+    out._vjp = lambda g: (g @ b.data.T, a.data.T @ g)
+    return out
+
+
+def pairwise_sqdist_all_cotangents(a, b):
+    """ad.pairwise_sqdist as it was before it skipped operands without
+    gradients."""
+    diff = a.data[:, None, :] - b.data[None, :, :]
+    out = Tensor(np.einsum("nmd,nmd->nm", diff, diff), _parents=(a, b))
+    out._vjp = lambda g: (
+        2.0 * np.einsum("nm,nmd->nd", g, diff),
+        -2.0 * np.einsum("nm,nmd->md", g, diff),
+    )
+    return out
+
+
+def test_skipping_constant_operands_leaves_every_grad_bitwise_unchanged(monkeypatch):
+    rng = np.random.default_rng(15)
+    fe = FeatureExtractor(12, feat_dim=4, seed=15, hidden=16)
+    x = Tensor(rng.normal(size=(7, 12)))
+    labels = np.array([0, 1, 2, 0, 1, 2, 2])
+    means = L.compute_mean_prototypes(fe.features_np(x.data), labels)
+
+    def grads():
+        fe.params.zero_grad()
+        ad.backward(L.loss_compression(fe.forward(x), labels, means))
+        return {name: t.grad.tobytes() for name, t in fe.params.items()}
+
+    skipped = grads()
+    first = ad.matmul(x, fe.params["w0"])
+    assert first._vjp(np.ones(first.shape))[0] is None  # the input batch
+    dists = ad.pairwise_sqdist(fe.forward(x), Tensor(np.stack(list(means.values()))))
+    assert dists._vjp(np.ones(dists.shape))[1] is None  # the constant anchors
+
+    monkeypatch.setattr(ad, "matmul", matmul_all_cotangents)
+    monkeypatch.setattr(ad, "pairwise_sqdist", pairwise_sqdist_all_cotangents)
+    assert grads() == skipped
