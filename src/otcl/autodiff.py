@@ -1,8 +1,9 @@
 """Reverse-mode autodiff over dense float64 numpy arrays.
 
-The op set is deliberately closed: affine maps, ReLU, elementwise
-exp/log/mul/add, reductions (sum/mean/logsumexp/softmax), pairwise squared
-distances and row gather/select. Every loss in this package is a composition
+The op set is deliberately closed: matrix products and transposes, ReLU,
+elementwise add/sub/neg/mul/scale/exp, reshapes, reductions
+(sum/mean/logsumexp/softmax), a one-column-per-row gather, row concatenation
+and pairwise squared distances. Every loss in this package is a composition
 of these, so gradients can be checked coordinate-by-coordinate against
 central finite differences. Stochastic inputs (Gumbel and Gaussian draws)
 enter the graph as constants, which keeps backward deterministic.
@@ -79,37 +80,8 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    # operator sugar for the common binary ops
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +149,6 @@ def exp(a: Tensor) -> Tensor:
     val = np.exp(a.data)
     out = Tensor(val, _parents=(a,))
     out._vjp = lambda g: (g * val,)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), _parents=(a,))
-    out._vjp = lambda g: (g / a.data,)
     return out
 
 
@@ -263,20 +229,6 @@ def gather(a: Tensor, index: np.ndarray) -> Tensor:
     return out
 
 
-def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows (first-axis entries) by integer index, with scatter-add backward."""
-    index = np.asarray(index, dtype=np.int64)
-    out = Tensor(a.data[index], _parents=(a,))
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
-        return (ga,)
-
-    out._vjp = vjp
-    return out
-
-
 def concat_rows(*tensors: Tensor) -> Tensor:
     """Concatenate 2-D tensors along axis 0; backward splits the cotangent."""
     if not tensors:
@@ -316,7 +268,7 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 # reverse pass
 
 
-def backward(loss: Tensor, params: "ParamSet | None" = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's `.grad`.
 
     A primitive's vjp returns None for an operand that needs no gradient
@@ -324,9 +276,8 @@ def backward(loss: Tensor, params: "ParamSet | None" = None) -> None:
 
     The loss must be scalar and built from the primitives above; anything
     else in the graph simply does not exist, so unsupported structures fail
-    at construction time rather than here. `params` is accepted for call-site
-    clarity only — registered parameters not reachable from the loss keep
-    their (zero-initialized) accumulators untouched.
+    at construction time rather than here. Leaves not reachable from the
+    loss keep their accumulators untouched.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")

@@ -65,7 +65,6 @@ class TaskStream:
     """Ordered tasks over pairwise-disjoint class groups; one pass, no reuse."""
 
     tasks: tuple[Task, ...]
-    batch_size: int
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def make_split_stream(
             for i in range(0, len(idx), batch_size)
         )
         tasks.append(Task(class_ids, batches))
-    return TaskStream(tuple(tasks), batch_size)
+    return TaskStream(tuple(tasks))
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,6 @@ class AccMatrix:
                 raise ValueError("accuracy outside [0, 1]")
         self.values[task_idx, : task_idx + 1] = accuracies
 
-    def row(self, task_idx: int) -> np.ndarray:
-        return self.values[task_idx, : task_idx + 1].copy()
-
 
 def avg_accuracy(acc: AccMatrix, T: int) -> float:
     """Mean accuracy over all T tasks after training the T-th (1-based)."""
@@ -232,8 +229,11 @@ def _task_test_batches(test: list[LabeledSample], cfg: RunConfig) -> list[Batch]
 
 def _insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
     """Sample count the centroid path would store — reused by the random
-    ablation so both run under identical budgets."""
-    free = max(0, mem.quota() - len(mem.store.get(class_id, [])))
+    ablation so both run under identical budgets. Registers the class first,
+    as the centroid path does, so a new class is budgeted under the quota
+    that counts it."""
+    mem.register_class(class_id)
+    free = max(0, mem.quota() - len(mem.store[class_id]))
     return max(1, free // k) * k
 
 

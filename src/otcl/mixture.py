@@ -52,7 +52,6 @@ class OtmmConfig:
     n_mix_samples: int | None = None  # None: match the batch size per call
     lr_phi: float = 0.05
     lr_mix: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.tau <= 0:
@@ -142,16 +141,8 @@ class ClassMixture:
         mix.params["mu"].data[...] = np.stack(distinct)
         return mix
 
-    def weights(self) -> np.ndarray:
-        a = self.params["alpha"].data
-        e = np.exp(a - a.max())
-        return e / e.sum()
-
     def centroids(self) -> np.ndarray:
         return self.params["mu"].data.copy()
-
-    def scales(self) -> np.ndarray:
-        return np.exp(self.params["log_sigma"].data)
 
 
 class DualPotential:
@@ -159,7 +150,6 @@ class DualPotential:
     Kantorovich potential of the semi-dual transport objective."""
 
     def __init__(self, feat_dim: int, seed: int = 0, hidden: int = POTENTIAL_WIDTH):
-        self.feat_dim = feat_dim
         self.params = ParamSet()
         rng = np.random.default_rng(seed)
         dims = [feat_dim, hidden, hidden, 1]

@@ -39,7 +39,6 @@ class FeatureExtractor:
             raise ValueError("dimensions must be positive")
         self.input_dim = input_dim
         self.feat_dim = feat_dim
-        self.hidden = hidden
         self.params = ParamSet()
         rng = np.random.default_rng(seed)
         dims = [input_dim, hidden, hidden, feat_dim]

@@ -41,12 +41,6 @@ class ReplayMemory:
     def total(self) -> int:
         return sum(len(v) for v in self.store.values())
 
-    def __len__(self) -> int:
-        return self.total()
-
-    def class_counts(self) -> dict[int, int]:
-        return {c: len(v) for c, v in sorted(self.store.items())}
-
     def register_class(self, class_id: int) -> None:
         """Track a class (creating its slot) and re-trim if quotas shrank."""
         if class_id not in self.store:

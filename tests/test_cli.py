@@ -105,6 +105,16 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_unknown_otmm_key_is_config_error(toy_config, capsys):
+    # OtmmConfig has no seed: the mixture noise comes from the run seed
+    cfg = json.loads(toy_config.read_text())
+    cfg["otmm"] = {"seed": 0}
+    toy_config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(toy_config)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+
+
 def test_bad_flag_usage_maps_to_config_error(capsys):
     assert main(["run", "--no-such-flag"]) == 1
     capsys.readouterr()
