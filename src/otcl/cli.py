@@ -18,12 +18,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import IdxError, SynthSpec, gen_synthetic, ring_centers
+from .data import Batch, IdxError, SynthSpec, gen_synthetic, ring_centers, split_tasks
 from .harness import RunConfig, evaluate_task, load_mnist_dir, load_model, run_experiment
 from .losses import PreservationConfig
 from .mixture import OtmmConfig
@@ -38,30 +38,68 @@ class CliError(Exception):
 # ------------------------------------------------------------ config I/O
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s != "")
+
+
+# The `otcl run` flags: (config block, field, type, help). The flag is the
+# field name with dashes, the block is a nested RunConfig field (None for
+# RunConfig itself), and "{default}" in the help shows the field's default.
+# bool flags switch on; a tuple type lists the choices.
+RUN_FLAGS = (
+    (None, "dataset", ("mnist", "synth"), "data source (default: {default})"),
+    (None, "data_dir", str, "directory holding the four IDX files (mnist)"),
+    (None, "out_dir", str, "where to write metrics.csv / summary.json / checkpoints"),
+    (None, "num_tasks", int, "tasks in the stream (default: {default})"),
+    (None, "classes_per_task", int, "classes per task (default: {default})"),
+    (None, "memory_size", int, "replay capacity in samples (default: {default})"),
+    (None, "batch_size", int, "stream batch size (default: {default})"),
+    (None, "n_centroids", int, "mixture components per class (default: {default})"),
+    (None, "feat_dim", int, "embedding width (default: {default})"),
+    (None, "hidden_dim", int, "extractor hidden width (default: {default})"),
+    (None, "seeds", _seed_list, "comma-separated run seeds (default: {default})"),
+    (None, "random_insertion", bool,
+     "ablation: uniform-random memory writes (default: centroid-aware)"),
+    (None, "eval_every_batch", bool, "record an accuracy curve after every batch (default: off)"),
+    ("preservation", "lr_theta", float, "extractor rate (default: {default})"),
+    ("preservation", "lr_proto", float, "prototype rate (default: {default})"),
+    ("preservation", "clip_alpha", float,
+     "old-prototype gradient damping in [0,1] (default: {default})"),
+    ("preservation", "steps_l1", int, "separation updates per batch (default: {default})"),
+    ("preservation", "steps_l2", int, "compression updates per batch (default: {default})"),
+    ("otmm", "epsilon", float, "entropic rate of the transport objective (default: {default})"),
+    ("otmm", "tau", float, "Gumbel-softmax temperature (default: {default})"),
+    ("otmm", "n_phi_steps", int, "potential ascent steps per batch (default: {default})"),
+    ("otmm", "n_mix_steps", int, "mixture descent steps per batch (default: {default})"),
+    ("otmm", "n_mix_samples", int, "mixture draws per objective estimate (default: batch size)"),
+    ("otmm", "lr_phi", float, "potential rate (default: {default})"),
+    ("otmm", "lr_mix", float, "mixture rate (default: {default})"),
+)
+_BLOCKS = {None: RunConfig, "preservation": PreservationConfig, "otmm": OtmmConfig}
+
+# gen-synth flags and the defaults of a config's "synth" block: (key, type, default, help)
+SYNTH_KEYS = (
+    ("num_classes", int, 2, "classes"),
+    ("modes_per_class", int, 1, "modes per class"),
+    ("mode_scale", float, 0.5, "mode std"),
+    ("samples_per_class", int, 500, "samples per class"),
+    ("seed", int, 0, "generator seed"),
+    ("ring_radius", float, 5.0, "radius of the interleaved mode ring"),
+    ("dim", int, 2, "feature dimension"),
+)
+
+
 def _build_synth_spec(block: dict) -> SynthSpec:
     block = dict(block)
-    num_classes = int(block.pop("num_classes", 2))
-    modes = int(block.pop("modes_per_class", 1))
-    scale = float(block.pop("mode_scale", 0.5))
-    samples = int(block.pop("samples_per_class", 500))
-    seed = int(block.pop("seed", 0))
-    radius = float(block.pop("ring_radius", 5.0))
-    dim = int(block.pop("dim", 2))
     centers = block.pop("mode_centers", None)
-    if block:
-        raise ValueError(f"unknown synth keys: {sorted(block)}")
+    unknown = set(block) - {key for key, *_ in SYNTH_KEYS}
+    if unknown:
+        raise ValueError(f"unknown synth keys: {sorted(unknown)}")
+    v = {key: kind(block.get(key, default)) for key, kind, default, _ in SYNTH_KEYS}
+    radius, dim = v.pop("ring_radius"), v.pop("dim")
     if centers is None:
-        centers = ring_centers(num_classes, modes, radius=radius, dim=dim)
-    else:
-        centers = np.asarray(centers, dtype=np.float64)
-    return SynthSpec(
-        num_classes=num_classes,
-        modes_per_class=modes,
-        mode_centers=centers,
-        mode_scale=scale,
-        samples_per_class=samples,
-        seed=seed,
-    )
+        centers = ring_centers(v["num_classes"], v["modes_per_class"], radius=radius, dim=dim)
+    return SynthSpec(mode_centers=centers, **v)
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
@@ -78,53 +116,13 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
 
-    flag_map = {
-        "dataset": args.dataset,
-        "data_dir": args.data_dir,
-        "num_tasks": args.num_tasks,
-        "classes_per_task": args.classes_per_task,
-        "memory_size": args.memory_size,
-        "batch_size": args.batch_size,
-        "n_centroids": args.n_centroids,
-        "feat_dim": args.feat_dim,
-        "hidden_dim": args.hidden_dim,
-        "out_dir": args.out_dir,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            merged[key] = val
-    if args.seeds is not None:
-        merged["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
-    if args.random_insertion:
-        merged["random_insertion"] = True
-    if args.eval_every_batch:
-        merged["eval_every_batch"] = True
-
-    pres = dict(merged.get("preservation", {}))
-    for key, val in (
-        ("lr_theta", args.lr_theta),
-        ("lr_proto", args.lr_proto),
-        ("clip_alpha", args.clip_alpha),
-        ("steps_l1", args.steps_l1),
-        ("steps_l2", args.steps_l2),
-    ):
-        if val is not None:
-            pres[key] = val
-    merged["preservation"] = PreservationConfig(**pres)
-
-    otmm = dict(merged.get("otmm", {}))
-    for key, val in (
-        ("epsilon", args.epsilon),
-        ("tau", args.tau),
-        ("n_phi_steps", args.n_phi_steps),
-        ("n_mix_steps", args.n_mix_steps),
-        ("n_mix_samples", args.n_mix_samples),
-        ("lr_phi", args.lr_phi),
-        ("lr_mix", args.lr_mix),
-    ):
-        if val is not None:
-            otmm[key] = val
-    merged["otmm"] = OtmmConfig(**otmm)
+    blocks = {b: merged if b is None else dict(merged.get(b, {})) for b in _BLOCKS}
+    for block, name, _, _ in RUN_FLAGS:
+        if getattr(args, name) is not None:
+            blocks[block][name] = getattr(args, name)
+    for block, cls in _BLOCKS.items():
+        if block is not None:
+            merged[block] = cls(**blocks[block])
 
     synth = merged.get("synth")
     if synth is not None:
@@ -160,44 +158,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_test_rows(args: argparse.Namespace):
-    if args.data_dir:
-        _, test = load_mnist_dir(args.data_dir)
-        feats = np.stack([s.features for s in test])
-        labels = np.asarray([s.label for s in test], dtype=np.int64)
-        return feats, labels
-    if args.synth_npz:
-        with np.load(args.synth_npz) as z:
-            return z["test_features"], z["test_labels"].astype(np.int64)
-    raise ValueError("provide --data-dir (IDX files) or --synth-npz")
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _load_model_and_test(args: argparse.Namespace):
+    """The checkpoint's model and meta, plus the test rows as one Batch."""
     try:
         fe, state, _, meta = load_model(args.checkpoint)
     except FileNotFoundError as err:
         raise CliError(2, f"data error: {err}") from err
     except (ValueError, KeyError, OSError) as err:
         raise CliError(2, f"bad checkpoint: {err}") from err
+    if not (args.data_dir or args.synth_npz):
+        raise CliError(1, "config error: provide --data-dir (IDX files) or --synth-npz")
     try:
-        feats, labels = _load_test_rows(args)
-    except (IdxError, FileNotFoundError, OSError, KeyError) as err:
+        if args.data_dir:
+            return fe, state, meta, Batch.of(load_mnist_dir(args.data_dir)[1])
+        with np.load(args.synth_npz) as z:
+            return fe, state, meta, Batch(z["test_features"], z["test_labels"].astype(np.int64))
+    except (ValueError, OSError, KeyError) as err:  # IdxError is a ValueError
         raise CliError(2, f"data error: {err}") from err
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    fe, state, meta, test = _load_model_and_test(args)
+    try:
+        per_task = split_tasks(test, meta["num_tasks"], meta["classes_per_task"])
     except ValueError as err:
-        raise CliError(1, f"config error: {err}") from err
-
-    from .data import Batch  # local import keeps the module list tidy
-
-    cpt = meta["classes_per_task"]
-    num_tasks = meta["num_tasks"]
-    accs = []
-    for t in range(num_tasks):
-        block = range(t * cpt, (t + 1) * cpt)
-        mask = np.isin(labels, list(block))
-        if not mask.any():
-            raise CliError(2, f"data error: no test samples for task {t + 1}")
-        batch = Batch(features=feats[mask], labels=labels[mask])
-        accs.append(evaluate_task(batch, fe, state.mixtures))
+        raise CliError(2, f"data error: {err}") from err
+    accs = [evaluate_task(batch, fe, state.mixtures) for batch in per_task]
     for t, a in enumerate(accs):
         print(f"task {t + 1}: {a:.4f}")
     print(f"average: {float(np.mean(accs)):.4f}")
@@ -206,27 +192,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_gen_synth(args: argparse.Namespace) -> int:
     try:
-        spec = _build_synth_spec(
-            {
-                "num_classes": args.num_classes,
-                "modes_per_class": args.modes_per_class,
-                "mode_scale": args.mode_scale,
-                "samples_per_class": args.samples_per_class,
-                "seed": args.seed,
-                "ring_radius": args.ring_radius,
-                "dim": args.dim,
-            }
-        )
+        spec = _build_synth_spec({key: getattr(args, key) for key, *_ in SYNTH_KEYS})
     except (ValueError, TypeError) as err:
         raise CliError(1, f"config error: {err}") from err
-    train, test = gen_synthetic(spec)
+    train, test = (Batch.of(part) for part in gen_synthetic(spec))
     try:
         np.savez(
             args.out,
-            train_features=np.stack([s.features for s in train]),
-            train_labels=np.asarray([s.label for s in train], dtype=np.int64),
-            test_features=np.stack([s.features for s in test]),
-            test_labels=np.asarray([s.label for s in test], dtype=np.int64),
+            train_features=train.features,
+            train_labels=train.labels,
+            test_features=test.features,
+            test_labels=test.labels,
         )
     except OSError as err:
         raise CliError(2, f"data error: {err}") from err
@@ -235,24 +211,13 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_embeddings(args: argparse.Namespace) -> int:
-    try:
-        fe, _, _, _ = load_model(args.checkpoint)
-    except FileNotFoundError as err:
-        raise CliError(2, f"data error: {err}") from err
-    except (ValueError, KeyError, OSError) as err:
-        raise CliError(2, f"bad checkpoint: {err}") from err
-    try:
-        feats, labels = _load_test_rows(args)
-    except (IdxError, FileNotFoundError, OSError, KeyError) as err:
-        raise CliError(2, f"data error: {err}") from err
-    except ValueError as err:
-        raise CliError(1, f"config error: {err}") from err
-    emb = fe.features_np(feats)
+    fe, _, _, test = _load_model_and_test(args)
+    emb = fe.features_np(test.features)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow([f"feat_{i}" for i in range(emb.shape[1])] + ["label"])
-            for row, lab in zip(emb, labels):
+            for row, lab in zip(emb, test.labels):
                 w.writerow([f"{v:.8g}" for v in row] + [int(lab)])
     except OSError as err:
         raise CliError(2, f"data error: {err}") from err
@@ -264,59 +229,19 @@ def _cmd_export_embeddings(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    d_run = RunConfig.__dataclass_fields__
-    d_pres = asdict(PreservationConfig())
-    d_otmm = asdict(OtmmConfig())
-
     p.add_argument("--config", help="JSON config file mirroring the run-config fields")
-    p.add_argument("--dataset", choices=["mnist", "synth"],
-                   help=f"data source (default: {d_run['dataset'].default})")
-    p.add_argument("--data-dir", help="directory holding the four IDX files (mnist)")
-    p.add_argument("--out-dir", help="where to write metrics.csv / summary.json / checkpoints")
-    p.add_argument("--num-tasks", type=int, help=f"tasks in the stream (default: {d_run['num_tasks'].default})")
-    p.add_argument("--classes-per-task", type=int,
-                   help=f"classes per task (default: {d_run['classes_per_task'].default})")
-    p.add_argument("--memory-size", type=int,
-                   help=f"replay capacity in samples (default: {d_run['memory_size'].default})")
-    p.add_argument("--batch-size", type=int,
-                   help=f"stream batch size (default: {d_run['batch_size'].default})")
-    p.add_argument("--n-centroids", type=int,
-                   help=f"mixture components per class (default: {d_run['n_centroids'].default})")
-    p.add_argument("--feat-dim", type=int,
-                   help=f"embedding width (default: {d_run['feat_dim'].default})")
-    p.add_argument("--hidden-dim", type=int,
-                   help=f"extractor hidden width (default: {d_run['hidden_dim'].default})")
-    p.add_argument("--seeds", help="comma-separated run seeds (default: 0)")
-    p.add_argument("--random-insertion", action="store_true",
-                   help="ablation: uniform-random memory writes (default: centroid-aware)")
-    p.add_argument("--eval-every-batch", action="store_true",
-                   help="record an accuracy curve after every batch (default: off)")
-
-    p.add_argument("--lr-theta", type=float,
-                   help=f"extractor rate (default: {d_pres['lr_theta']})")
-    p.add_argument("--lr-proto", type=float,
-                   help=f"prototype rate (default: {d_pres['lr_proto']})")
-    p.add_argument("--clip-alpha", type=float,
-                   help=f"old-prototype gradient damping in [0,1] (default: {d_pres['clip_alpha']})")
-    p.add_argument("--steps-l1", type=int,
-                   help=f"separation updates per batch (default: {d_pres['steps_l1']})")
-    p.add_argument("--steps-l2", type=int,
-                   help=f"compression updates per batch (default: {d_pres['steps_l2']})")
-
-    p.add_argument("--epsilon", type=float,
-                   help=f"entropic rate of the transport objective (default: {d_otmm['epsilon']})")
-    p.add_argument("--tau", type=float,
-                   help=f"Gumbel-softmax temperature (default: {d_otmm['tau']})")
-    p.add_argument("--n-phi-steps", type=int,
-                   help=f"potential ascent steps per batch (default: {d_otmm['n_phi_steps']})")
-    p.add_argument("--n-mix-steps", type=int,
-                   help=f"mixture descent steps per batch (default: {d_otmm['n_mix_steps']})")
-    p.add_argument("--n-mix-samples", type=int,
-                   help="mixture draws per objective estimate (default: batch size)")
-    p.add_argument("--lr-phi", type=float,
-                   help=f"potential rate (default: {d_otmm['lr_phi']})")
-    p.add_argument("--lr-mix", type=float,
-                   help=f"mixture rate (default: {d_otmm['lr_mix']})")
+    defaults = {b: {f.name: f.default for f in fields(cls)} for b, cls in _BLOCKS.items()}
+    for block, name, kind, text in RUN_FLAGS:
+        default = defaults[block][name]
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        if kind is bool:
+            kwargs = {"action": "store_true", "default": None}
+        elif isinstance(kind, tuple):
+            kwargs = {"choices": kind}
+        else:
+            kwargs = {"type": kind}
+        p.add_argument("--" + name.replace("_", "-"), help=text.format(default=default), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,15 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synth", help="write a synthetic dataset to .npz")
     p_gen.add_argument("--out", required=True, help="output .npz path")
-    p_gen.add_argument("--num-classes", type=int, default=2, help="classes (default: 2)")
-    p_gen.add_argument("--modes-per-class", type=int, default=1, help="modes per class (default: 1)")
-    p_gen.add_argument("--mode-scale", type=float, default=0.5, help="mode std (default: 0.5)")
-    p_gen.add_argument("--samples-per-class", type=int, default=500,
-                       help="samples per class (default: 500)")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    p_gen.add_argument("--ring-radius", type=float, default=5.0,
-                       help="radius of the interleaved mode ring (default: 5.0)")
-    p_gen.add_argument("--dim", type=int, default=2, help="feature dimension (default: 2)")
+    for key, kind, default, text in SYNTH_KEYS:
+        p_gen.add_argument("--" + key.replace("_", "-"), type=kind, default=default,
+                           help=f"{text} (default: {default})")
     p_gen.set_defaults(func=_cmd_gen_synth)
 
     p_exp = sub.add_parser("export-embeddings", help="dump test-set embeddings to CSV")

@@ -53,6 +53,14 @@ class Batch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
+    @classmethod
+    def of(cls, samples) -> Batch:
+        """Labeled samples stacked into one batch, in order."""
+        return cls(
+            np.stack([s.features for s in samples]),
+            np.array([s.label for s in samples], dtype=np.int64),
+        )
+
 
 @dataclass(frozen=True)
 class Task:
@@ -121,7 +129,8 @@ def load_idx(images_path, labels_path) -> list[LabeledSample]:
 def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     """Write a uint8 image stack (n, rows, cols) and labels as an IDX pair.
 
-    Exists for test fixtures; load_idx must round-trip anything written here.
+    Writes test fixtures and the benchmark's MNIST-shaped stand-in; load_idx
+    must round-trip anything written here.
     """
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
@@ -142,6 +151,29 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
 # task streams
 
 
+def task_blocks(
+    labels: np.ndarray, num_tasks: int, classes_per_task: int
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The task split: task t owns the ascending class block
+    {t*cpt, ..., t*cpt + cpt - 1}. Returns each task's class ids and the
+    ascending indices of its rows."""
+    blocks = []
+    for t in range(num_tasks):
+        class_ids = tuple(range(t * classes_per_task, (t + 1) * classes_per_task))
+        blocks.append((class_ids, np.flatnonzero(np.isin(labels, class_ids))))
+    return blocks
+
+
+def split_tasks(data: Batch, num_tasks: int, classes_per_task: int) -> list[Batch]:
+    """Each task's rows of a held-out set, in order; every task needs one."""
+    per_task = []
+    for t, (_, idx) in enumerate(task_blocks(data.labels, num_tasks, classes_per_task)):
+        if idx.size == 0:
+            raise ValueError(f"no test samples for task {t + 1}")
+        per_task.append(Batch(data.features[idx], data.labels[idx]))
+    return per_task
+
+
 def make_split_stream(
     samples: list[LabeledSample],
     num_tasks: int,
@@ -151,15 +183,14 @@ def make_split_stream(
 ) -> TaskStream:
     """Slice a dataset into the fixed-order class-incremental stream.
 
-    Task t owns the ascending class block {t*cpt, ..., t*cpt + cpt - 1}. Its
-    samples (all classes mixed) are shuffled once under the seed and chunked;
-    every sample lands in exactly one batch, so a consumer that walks the
-    stream sees each example a single time.
+    Each task's samples (all classes of its block mixed) are shuffled once
+    under the seed and chunked; every sample lands in exactly one batch, so
+    a consumer that walks the stream sees each example a single time.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    classes = np.unique(labels)
+    data = Batch.of(samples)
+    classes = np.unique(data.labels)
     if num_tasks * classes_per_task != len(classes):
         raise ValueError(
             f"{num_tasks} tasks x {classes_per_task} classes != {len(classes)} classes present"
@@ -169,14 +200,11 @@ def make_split_stream(
         raise ValueError("class ids must be contiguous from 0")
 
     rng = np.random.default_rng(seed)
-    features = np.stack([s.features for s in samples])
     tasks = []
-    for t in range(num_tasks):
-        class_ids = tuple(range(t * classes_per_task, (t + 1) * classes_per_task))
-        idx = np.flatnonzero(np.isin(labels, class_ids))
+    for class_ids, idx in task_blocks(data.labels, num_tasks, classes_per_task):
         idx = idx[rng.permutation(len(idx))]
         batches = tuple(
-            Batch(features[idx[i : i + batch_size]], labels[idx[i : i + batch_size]])
+            Batch(data.features[idx[i : i + batch_size]], data.labels[idx[i : i + batch_size]])
             for i in range(0, len(idx), batch_size)
         )
         tasks.append(Task(class_ids, batches))
@@ -204,6 +232,10 @@ class SynthSpec:
 
     def __post_init__(self):
         centers = np.asarray(self.mode_centers, dtype=np.float64)
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be at least 1")
+        if not 0 < _train_rows(self.samples_per_class) < self.samples_per_class:
+            raise ValueError("samples_per_class leaves the 80/20 train or test split empty")
         if self.modes_per_class < 1:
             raise ValueError("modes_per_class must be at least 1")
         if self.mode_scale < 0:
@@ -215,6 +247,11 @@ class SynthSpec:
             if uniq.shape[0] != self.modes_per_class:
                 raise ValueError(f"class {c} has duplicate mode centers")
         object.__setattr__(self, "mode_centers", centers)
+
+
+def _train_rows(samples_per_class: int) -> int:
+    """Per-class train rows of the 80/20 train/test split."""
+    return int(round(0.8 * samples_per_class))
 
 
 def ring_centers(num_classes: int, modes_per_class: int, radius: float = 5.0,
@@ -248,7 +285,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[list[LabeledSample], list[LabeledSam
         modes = rng.integers(0, spec.modes_per_class, size=spec.samples_per_class)
         noise = rng.standard_normal((spec.samples_per_class, dim))
         points = spec.mode_centers[c][modes] + spec.mode_scale * noise
-        n_train = int(round(0.8 * spec.samples_per_class))
+        n_train = _train_rows(spec.samples_per_class)
         for i in range(spec.samples_per_class):
             sample = LabeledSample(points[i], c)
             (train if i < n_train else test).append(sample)

@@ -23,7 +23,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import Batch, LabeledSample, SynthSpec, gen_synthetic, load_idx, make_split_stream
+from .data import (
+    Batch,
+    LabeledSample,
+    SynthSpec,
+    gen_synthetic,
+    load_idx,
+    make_split_stream,
+    split_tasks,
+)
 from .losses import PreservationConfig, dynamic_preservation_step
 from .mixture import (
     ClassMixture,
@@ -44,6 +52,7 @@ from .replay import (
     ReplayMemory,
     insert_random,
     insert_with_centroids,
+    insertion_budget,
     merge_class_batches,
     rebalance_quotas,
     sample_replay_batch,
@@ -93,6 +102,8 @@ class RunConfig:
             raise ValueError("task layout must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("run seeds must be distinct")
 
 
 class AccMatrix:
@@ -207,34 +218,7 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[LabeledSample], list[LabeledSamp
     return gen_synthetic(cfg.synth)
 
 
-def _task_test_batches(test: list[LabeledSample], cfg: RunConfig) -> list[Batch]:
-    """Held-out batch per task, covering that task's class block."""
-    per_task = []
-    for t in range(cfg.num_tasks):
-        block = range(t * cfg.classes_per_task, (t + 1) * cfg.classes_per_task)
-        rows = [s for s in test if s.label in block]
-        if not rows:
-            raise ValueError(f"no test samples for task {t + 1}")
-        per_task.append(
-            Batch(
-                features=np.stack([s.features for s in rows]),
-                labels=np.asarray([s.label for s in rows], dtype=np.int64),
-            )
-        )
-    return per_task
-
-
 # ---------------------------------------------------------- training loop
-
-
-def _insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
-    """Sample count the centroid path would store — reused by the random
-    ablation so both run under identical budgets. Registers the class first,
-    as the centroid path does, so a new class is budgeted under the quota
-    that counts it."""
-    mem.register_class(class_id)
-    free = max(0, mem.quota() - len(mem.store[class_id]))
-    return max(1, free // k) * k
 
 
 def _run_single_seed(
@@ -244,7 +228,7 @@ def _run_single_seed(
     stream = make_split_stream(
         train, cfg.num_tasks, cfg.classes_per_task, cfg.batch_size, seed=seed
     )
-    test_batches = _task_test_batches(test, cfg)
+    test_batches = split_tasks(Batch.of(test), cfg.num_tasks, cfg.classes_per_task)
     input_dim = train[0].features.shape[0]
 
     fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
@@ -285,9 +269,8 @@ def _run_single_seed(
                     mask = batch.labels == c
                     class_batch = Batch(features=rows, labels=batch.labels[mask])
                     if cfg.random_insertion:
-                        insert_random(
-                            mem, class_batch, _insertion_budget(mem, c, cfg.n_centroids)
-                        )
+                        k = cfg.n_centroids
+                        insert_random(mem, class_batch, insertion_budget(mem, c, k) * k)
                     else:
                         insert_with_centroids(
                             mem, class_batch, new_feats[mask], state.mixtures[c].centroids()

@@ -141,18 +141,16 @@ class ClassPrototypes:
         if missing:
             raise KeyError(f"no prototype for classes {missing}")
 
-    def stack(self, class_ids=None) -> Tensor:
-        """Prototype matrix (len(ids), feat_dim) as a differentiable stack."""
-        ids = self.class_ids if class_ids is None else sorted(class_ids)
-        self.require(ids)
-        if not ids:
+    def stack(self) -> Tensor:
+        """Prototype matrix (classes, feat_dim) as a differentiable stack."""
+        if not self.class_ids:
             raise ValueError("no classes initialized")
-        return ad.concat_rows(*(self.params[f"proto_{c}"] for c in ids))
+        return ad.concat_rows(*(self.params[f"proto_{c}"] for c in self.class_ids))
 
 
-def class_logits(z: Tensor, protos: ClassPrototypes, class_ids=None) -> Tensor:
-    """Logit matrix (n, len(ids)), column order = ascending class id."""
-    w = protos.stack(class_ids)
+def class_logits(z: Tensor, protos: ClassPrototypes) -> Tensor:
+    """Logit matrix (n, classes), column order = ascending class id."""
+    w = protos.stack()
     return ad.matmul(z, ad.transpose(w))
 
 

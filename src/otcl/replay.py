@@ -113,6 +113,14 @@ def _store_selected(mem: ReplayMemory, batch: Batch, selected: list[int]) -> Non
         samples[int(v)] = new
 
 
+def insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
+    """Rows per centroid an insertion of the class selects: its free quota
+    split across k centroids, at least one each. Registers the class first,
+    so a new class is budgeted under the quota that counts it."""
+    mem.register_class(class_id)
+    return max(1, (mem.quota() - len(mem.store[class_id])) // k)
+
+
 def insert_with_centroids(
     mem: ReplayMemory,
     batch: Batch,
@@ -128,8 +136,7 @@ def insert_with_centroids(
     no replacement in that path. When the class store is full, each selected
     sample replaces a uniformly chosen existing entry of the same class.
 
-    The default selection budget splits the class's free quota across
-    centroids: max(1, floor(free / K)).
+    The default selection budget is `insertion_budget`.
     """
     if len(batch) == 0:
         return mem
@@ -149,8 +156,7 @@ def insert_with_centroids(
     if features.shape[0] != len(batch):
         raise ValueError("features must align with the batch rows")
     if n_per_centroid is None:
-        free = max(0, quota - len(mem.store[c]))
-        n_per_centroid = max(1, free // centroids.shape[0])
+        n_per_centroid = insertion_budget(mem, c, centroids.shape[0])
     selected = _select_closest_per_centroid(features, centroids, n_per_centroid)
     _store_selected(mem, batch, selected)
     return mem

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (run in-process)."""
 
+import argparse
 import csv
 import json
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from otcl.cli import main
+from otcl.cli import RUN_FLAGS, build_parser, main
 
 
 @pytest.fixture
@@ -67,6 +68,79 @@ def test_flags_override_config_file(toy_config, tmp_path):
     assert summary["config"]["memory_size"] == 64
     assert summary["config"]["seeds"] == [3]
     assert set(summary["per_seed"]) == {"3"}
+
+
+# The `otcl run` option strings; a flag is added or removed on purpose only.
+RUN_OPTIONS = {
+    "-h", "--help", "--config", "--dataset", "--data-dir", "--out-dir", "--num-tasks",
+    "--classes-per-task", "--memory-size", "--batch-size", "--n-centroids", "--feat-dim",
+    "--hidden-dim", "--seeds", "--random-insertion", "--eval-every-batch", "--lr-theta",
+    "--lr-proto", "--clip-alpha", "--steps-l1", "--steps-l2", "--epsilon", "--tau",
+    "--n-phi-steps", "--n-mix-steps", "--n-mix-samples", "--lr-phi", "--lr-mix",
+}
+
+# A small run whose file values each flag case overrides.
+FLAG_BASE = {
+    "dataset": "synth",
+    "synth": {"num_classes": 4, "mode_scale": 0.3, "samples_per_class": 20, "ring_radius": 3.0},
+    "num_tasks": 2, "classes_per_task": 2, "memory_size": 20, "batch_size": 10,
+    "feat_dim": 4, "hidden_dim": 8, "seeds": [0],
+}
+# field -> (config-file value, flag argument, value echoed in summary.json).
+# Where it can, the file value alone makes a config that cannot run, so a
+# flag that fails to override it fails the run.
+FLAG_CASES = {
+    "dataset": ("mnist", "synth", "synth"),
+    "data_dir": ("from-file", "from-flag", "from-flag"),
+    "out_dir": None,  # the paths depend on tmp_path
+    "num_tasks": (4, "2", 2),
+    "classes_per_task": (1, "2", 2),
+    "memory_size": (20, "12", 12),
+    "batch_size": (10, "8", 8),
+    "n_centroids": (1, "2", 2),
+    "feat_dim": (4, "3", 3),
+    "hidden_dim": (8, "6", 6),
+    "seeds": ([0], "3,5", [3, 5]),
+    "random_insertion": (False, None, True),
+    "eval_every_batch": (False, None, True),
+    "lr_theta": (-1.0, "0.02", 0.02),
+    "lr_proto": (-1.0, "0.03", 0.03),
+    "clip_alpha": (2.0, "0.3", 0.3),
+    "steps_l1": (-1, "2", 2),
+    "steps_l2": (-1, "0", 0),
+    "epsilon": (-1.0, "0.2", 0.2),
+    "tau": (-1.0, "0.7", 0.7),
+    "n_phi_steps": (-1, "2", 2),
+    "n_mix_steps": (-1, "2", 2),
+    "n_mix_samples": (0, "6", 6),
+    "lr_phi": (-1.0, "0.02", 0.02),
+    "lr_mix": (-1.0, "0.03", 0.03),
+}
+
+
+def test_run_option_strings_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {o for a in sub.choices["run"]._actions for o in a.option_strings} == RUN_OPTIONS
+
+
+@pytest.mark.parametrize("block, name", [(block, name) for block, name, *_ in RUN_FLAGS])
+def test_each_run_flag_overrides_the_config_file(block, name, tmp_path):
+    out = tmp_path / "out"
+    if name == "out_dir":
+        file_value, flag_arg, echo = str(tmp_path / "from-file"), str(out), str(out)
+    else:
+        file_value, flag_arg, echo = FLAG_CASES[name]
+    cfg = json.loads(json.dumps(FLAG_BASE))
+    (cfg if block is None else cfg.setdefault(block, {}))[name] = file_value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    flag = "--" + name.replace("_", "-")
+    args = ["run", "--config", str(path), flag] + ([] if flag_arg is None else [flag_arg])
+    if name != "out_dir":
+        args += ["--out-dir", str(out)]
+    assert main(args) == 0
+    echoed = json.loads((out / "summary.json").read_text())["config"]
+    assert (echoed if block is None else echoed[block])[name] == echo
 
 
 def test_run_without_config_file_uses_flag_values(tmp_path):
@@ -149,6 +223,14 @@ def test_missing_checkpoint_is_data_error(capsys):
     capsys.readouterr()
 
 
+def test_duplicate_seeds_are_config_error(toy_config, tmp_path, capsys):
+    # seed 0 twice would write its metrics.csv rows twice
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(toy_config), "--seeds", "0,0", "--out-dir", str(out)]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- gen-synth
 
 
@@ -166,6 +248,15 @@ def test_gen_synth_round_trip(tmp_path):
         assert z["test_features"].shape == (60, 2)
         assert set(z["train_labels"].tolist()) == {0, 1, 2}
         assert z["train_features"].dtype == np.float64
+
+
+@pytest.mark.parametrize("flag, value", [("--num-classes", "0"), ("--samples-per-class", "1"),
+                                         ("--samples-per-class", "2")])
+def test_gen_synth_without_a_train_or_test_row_is_config_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "toy.npz"
+    assert main(["gen-synth", "--out", str(out), flag, value]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------- eval / embeddings
@@ -209,3 +300,29 @@ def test_eval_requires_a_data_source(toy_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_eval_reproduces_the_final_metrics_row(tmp_path, capsys):
+    # overlapping classes: every final accuracy is below 1 and the two tasks
+    # differ, so a wrong or reordered task split shows
+    synth = ["--num-classes", "4", "--mode-scale", "0.8", "--samples-per-class", "60",
+             "--ring-radius", "1.0"]
+    cfg = {"dataset": "synth", "num_tasks": 2, "classes_per_task": 2, "memory_size": 20,
+           "feat_dim": 4, "hidden_dim": 8,
+           "synth": {"num_classes": 4, "mode_scale": 0.8, "samples_per_class": 60,
+                     "ring_radius": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out, npz = tmp_path / "out", tmp_path / "toy.npz"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert main(["gen-synth", "--out", str(npz)] + synth) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_seed0.npz"),
+                 "--synth-npz", str(npz)]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+
+    with open(out / "metrics.csv") as fh:
+        final = [float(r["accuracy"]) for r in csv.DictReader(fh) if r["task_index"] == "2"]
+    assert max(final) < 1.0 and final[0] != final[1]
+    want = [f"task {j + 1}: {a:.4f}" for j, a in enumerate(final)]
+    assert printed == want + [f"average: {float(np.mean(final)):.4f}"]

@@ -134,6 +134,20 @@ class TestSplitStream:
         with pytest.raises(ValueError, match="batch_size"):
             d.make_split_stream(toy_dataset(), 2, 2, 0, seed=0)
 
+    def test_held_out_split_follows_the_stream_blocks(self):
+        samples = toy_dataset(num_classes=6)
+        stream = d.make_split_stream(samples, 3, 2, 5, seed=0)
+        per_task = d.split_tasks(d.Batch.of(samples), 3, 2)
+        for task, held_out in zip(stream.tasks, per_task):
+            assert set(held_out.labels.tolist()) == set(task.class_ids)
+            # rows keep their input order
+            want = [s.features for s in samples if s.label in task.class_ids]
+            np.testing.assert_array_equal(held_out.features, np.stack(want))
+
+    def test_held_out_split_rejects_a_task_without_rows(self):
+        with pytest.raises(ValueError, match="task 3"):
+            d.split_tasks(d.Batch.of(toy_dataset(num_classes=4)), 3, 2)
+
     @given(
         n_per_class=st.integers(1, 9),
         num_classes=st.sampled_from([2, 4, 6]),
@@ -191,6 +205,18 @@ class TestSynthetic:
         centers = np.zeros((1, 2, 2))
         with pytest.raises(ValueError, match="duplicate"):
             d.SynthSpec(1, 2, centers, 0.1, 10)
+
+    @pytest.mark.parametrize("num_classes, samples_per_class", [(0, 10), (1, 0), (1, 1), (1, 2)])
+    def test_empty_class_set_or_split_side_rejected(self, num_classes, samples_per_class):
+        # 1 and 2 samples per class round to an 80% train side that leaves
+        # the test side empty
+        centers = np.zeros((num_classes, 1, 2))
+        with pytest.raises(ValueError, match="num_classes|split"):
+            d.SynthSpec(num_classes, 1, centers, 0.1, samples_per_class)
+
+    def test_smallest_spec_fills_both_split_sides(self):
+        train, test = d.gen_synthetic(d.SynthSpec(1, 1, np.zeros((1, 1, 2)), 0.1, 3))
+        assert (len(train), len(test)) == (2, 1)
 
     def test_ring_centers_interleave_classes(self):
         centers = d.ring_centers(2, 4, radius=5.0)

@@ -1,6 +1,5 @@
 """Tests for the experiment harness: prediction, metrics, and full runs."""
 
-import copy
 import json
 import os
 
@@ -13,7 +12,6 @@ from otcl.data import Batch, SynthSpec, ring_centers
 from otcl.harness import (
     AccMatrix,
     RunConfig,
-    _insertion_budget,
     avg_accuracy,
     avg_forgetting,
     evaluate_task,
@@ -24,7 +22,6 @@ from otcl.harness import (
 from otcl.losses import PreservationConfig
 from otcl.mixture import ClassMixture, OtmmConfig
 from otcl.model import FeatureExtractor
-from otcl.replay import ReplayMemory, insert_random, insert_with_centroids
 
 
 def small_extractor(input_dim=2, feat_dim=4, seed=0):
@@ -242,6 +239,8 @@ def test_run_config_validation():
         tiny_run_config(num_tasks=0)
     with pytest.raises(ValueError):
         tiny_run_config(seeds=())
+    with pytest.raises(ValueError, match="distinct"):
+        tiny_run_config(seeds=(0, 0))  # would run seed 0 twice
     with pytest.raises(ValueError):
         RunConfig(dataset="synth", synth=None)  # synth data needs a spec
     with pytest.raises(ValueError):
@@ -342,24 +341,6 @@ def test_random_insertion_ablation_runs(tmp_path):
     cfg = tiny_run_config(out_dir=str(tmp_path), random_insertion=True)
     mats, _ = run_experiment(cfg)
     assert avg_accuracy(mats[0], 1) >= 0.9  # easy data: ablation still learns
-
-
-def test_random_insertion_budgets_a_new_class_under_its_shrunk_quota():
-    # classes 0 and 1 fill a capacity of 10; class 2 drops the quota to 3
-    mem = ReplayMemory(10, seed=0)
-    for c in (0, 1):
-        rows = np.full((5, 1), float(c))
-        insert_with_centroids(mem, Batch(rows, np.full(5, c)), None, None)
-    batch = Batch(np.arange(20.0, 28.0).reshape(8, 1), np.full(8, 2))
-    budget = _insertion_budget(mem, 2, 1)
-    assert budget == mem.quota() == 3
-    # every row of the uniform draw is stored, not the lowest-index part of
-    # a larger draw
-    want = 20.0 + np.sort(copy.deepcopy(mem._rng).choice(8, size=budget, replace=False))
-    insert_random(mem, batch, budget)
-    got = [float(s.features[0]) for s in mem.store[2]]
-    assert got == want.tolist()
-    assert mem.total() <= mem.capacity
 
 
 def test_partial_metrics_flushed_on_failure(tmp_path, monkeypatch):

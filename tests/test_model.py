@@ -138,7 +138,7 @@ class TestClassPrototypes:
         protos = m.ClassPrototypes(feat_dim=3)
         protos.init_new_classes([0], seed=0)
         with pytest.raises(KeyError, match="no prototype"):
-            m.class_logits(Tensor(np.zeros((1, 3))), protos, class_ids=[0, 7])
+            protos.require([0, 7])
 
     def test_logits_differentiable_wrt_prototypes(self):
         protos = m.ClassPrototypes(feat_dim=3)

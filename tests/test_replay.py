@@ -1,5 +1,7 @@
 """Tests for the bounded replay memory."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,22 @@ def test_random_insertion_respects_the_same_budget():
     assert mem.total() == 4  # quota caps it
     stored = stored_features(mem, 0).ravel()
     assert set(stored).issubset(set(batch.features.ravel()))
+
+
+def test_random_insertion_budgets_a_new_class_under_its_shrunk_quota():
+    # classes 0 and 1 fill a capacity of 10; class 2 drops the quota to 3
+    mem = rp.ReplayMemory(10, seed=0)
+    for c in (0, 1):
+        rp.insert_with_centroids(mem, class_batch(c, np.full((5, 1), float(c))), None, None)
+    batch = class_batch(2, np.arange(20.0, 28.0).reshape(8, 1))
+    budget = rp.insertion_budget(mem, 2, 1)
+    assert budget == mem.quota() == 3
+    # every row of the uniform draw is stored, not the lowest-index part of
+    # a larger draw
+    want = 20.0 + np.sort(copy.deepcopy(mem._rng).choice(8, size=budget, replace=False))
+    rp.insert_random(mem, batch, budget)
+    assert stored_features(mem, 2).ravel().tolist() == want.tolist()
+    assert mem.total() <= mem.capacity
 
 
 # -------------------------------------------------------------- sampling
