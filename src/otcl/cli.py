@@ -17,14 +17,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import Batch, IdxError, SynthSpec, gen_synthetic, ring_centers, split_tasks
-from .harness import RunConfig, evaluate_task, load_mnist_dir, load_model, run_experiment
+from .data import Batch, IdxError, SynthSpec, gen_synthetic, load_idx, ring_centers, split_tasks
+from .harness import MNIST_FILES, RunConfig, evaluate_task, load_model, run_experiment
 from .losses import PreservationConfig
 from .mixture import OtmmConfig
 
@@ -170,7 +171,10 @@ def _load_model_and_test(args: argparse.Namespace):
         raise CliError(1, "config error: provide --data-dir (IDX files) or --synth-npz")
     try:
         if args.data_dir:
-            return fe, state, meta, Batch.of(load_mnist_dir(args.data_dir)[1])
+            images, labels = (
+                os.path.join(args.data_dir, MNIST_FILES[k]) for k in ("test_images", "test_labels")
+            )
+            return fe, state, meta, Batch.of(load_idx(images, labels))
         with np.load(args.synth_npz) as z:
             return fe, state, meta, Batch(z["test_features"], z["test_labels"].astype(np.int64))
     except (ValueError, OSError, KeyError) as err:  # IdxError is a ValueError

@@ -170,33 +170,36 @@ def _centroid_table(mixtures: dict[int, ClassMixture]) -> tuple[np.ndarray, np.n
     return np.concatenate(rows, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def _predict_features(feats: np.ndarray, mixtures: dict[int, ClassMixture]) -> np.ndarray:
-    """Nearest-centroid labels for already-extracted feature rows.
+def _predict_rows(
+    x: np.ndarray, fe: FeatureExtractor, mixtures: dict[int, ClassMixture]
+) -> np.ndarray:
+    """Nearest-centroid labels for the rows of `x`: the one evaluation path.
 
-    Ties go to the smallest class id: the table is stacked in ascending
-    class order and argmin keeps the first minimum.
+    The forward runs in float32 (`features_np`), from the float64 weights
+    that training keeps. The squared distance |z - mu|^2 is ranked as
+    |mu|^2 - 2 z.mu in float64, leaving out |z|^2, which is the same for
+    every centroid of a row. Ties go to the smallest class id: the table is
+    stacked in ascending class order and argmin keeps the first minimum.
     """
     table, labels = _centroid_table(mixtures)
-    d = ((feats[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
-    return labels[np.argmin(d, axis=1)]
+    feats = fe.features_np(x, dtype=np.float32).astype(np.float64)
+    scores = (table * table).sum(axis=1) - 2.0 * (feats @ table.T)
+    return labels[np.argmin(scores, axis=1)]
 
 
 def predict(x: np.ndarray, fe: FeatureExtractor, mixtures: dict[int, ClassMixture]) -> int:
     """Class of the centroid closest to f(x); sees no task identity."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim == 1:
         x = x[None, :]
-    feats = fe.features_np(x)
-    return int(_predict_features(feats, mixtures)[0])
+    return int(_predict_rows(x, fe, mixtures)[0])
 
 
 def evaluate_task(test: Batch, fe: FeatureExtractor, mixtures: dict[int, ClassMixture]) -> float:
     """Fraction of nearest-centroid predictions matching the labels."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    feats = fe.features_np(test.features)
-    pred = _predict_features(feats, mixtures)
-    return float((pred == test.labels).mean())
+    return float((_predict_rows(test.features, fe, mixtures) == test.labels).mean())
 
 
 # ------------------------------------------------------------- data prep

@@ -4,9 +4,12 @@ The extractor is a plain ReLU MLP (input -> 400 -> 400 -> feat_dim). It
 trains on plain numpy arrays: `forward_np` is the one numpy definition of
 the network (inference goes through it too, via `features_np`) and
 `backward_np` writes the parameter gradients in place. `forward`, over the
-autodiff tensors, is the oracle the tests check both against. Class logits
-are pure inner products against one trainable prototype row per class seen
-so far — no bias, no normalization.
+autodiff tensors, is the oracle the tests check both against. The float64
+parameters are the master copy: training and the default `features_np` run
+on them, while evaluation asks `features_np` for float32 and runs the same
+layer loop on a float32 copy of the weights. Class logits are pure inner
+products against one trainable prototype row per class seen so far — no
+bias, no normalization.
 """
 
 from __future__ import annotations
@@ -58,23 +61,35 @@ class FeatureExtractor:
         h = ad.relu(ad.add(ad.matmul(h, self.params["w1"]), self.params["b1"]))
         return ad.add(ad.matmul(h, self.params["w2"]), self.params["b2"])
 
-    def forward_np(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def forward_np(
+        self, x: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray]] | None = None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Graph-free forward pass: features (n, feat_dim) and the two ReLU
         outputs, which `backward_np` takes (their positive entries are the
-        ReLU masks)."""
+        ReLU masks). `weights` are the `(w, b)` pairs to run, by default the
+        parameters themselves."""
         if x.shape[-1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
-        p = self.params
+        *relu_layers, (w_out, b_out) = self.weights() if weights is None else weights
         hidden = []
         h = x
-        for i in (0, 1):
-            h = h @ p[f"w{i}"].data
-            h += p[f"b{i}"].data
+        for w, b in relu_layers:
+            h = h @ w
+            h += b
             np.maximum(h, 0.0, out=h)
             hidden.append(h)
-        z = h @ p["w2"].data
-        z += p["b2"].data
+        z = h @ w_out
+        z += b_out
         return z, hidden
+
+    def weights(self, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The `(w, b)` pair of each layer: the float64 parameter arrays
+        themselves, or a copy of them in another dtype."""
+        p = self.params
+        return [
+            (p[f"w{i}"].data.astype(dtype, copy=False), p[f"b{i}"].data.astype(dtype, copy=False))
+            for i in range(3)
+        ]
 
     def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
         """Write d(loss)/d(parameter) into every parameter's `.grad`, given
@@ -95,12 +110,19 @@ class FeatureExtractor:
                 g = g @ p[f"w{i}"].data.T
                 g *= inputs[i] > 0
 
-    def features_np(self, x: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Inference-only forward pass on raw arrays (no graph, chunked)."""
-        x = np.asarray(x, dtype=np.float64)
+    def features_np(self, x: np.ndarray, chunk: int = 4096, dtype=np.float64) -> np.ndarray:
+        """Inference-only forward pass on raw arrays (no graph, chunked).
+
+        The default float64 is bit for bit `forward_np`, the training
+        forward. Evaluation asks for float32: the weights are copied to
+        float32 once per call and the rows chunk by chunk, so no float32
+        copy of `x` is kept.
+        """
+        x = np.asarray(x)
+        weights = self.weights(dtype)
         # an empty batch still makes one (empty) chunk: same input check
         outs = [
-            self.forward_np(x[i : i + chunk])[0]
+            self.forward_np(x[i : i + chunk].astype(dtype, copy=False), weights)[0]
             for i in range(0, max(x.shape[0], 1), chunk)
         ]
         return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)

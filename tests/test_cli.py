@@ -3,12 +3,15 @@
 import argparse
 import csv
 import json
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
 from otcl.cli import RUN_FLAGS, build_parser, main
+from otcl.data import write_idx
+from otcl.harness import MNIST_FILES
 
 
 @pytest.fixture
@@ -326,3 +329,47 @@ def test_eval_reproduces_the_final_metrics_row(tmp_path, capsys):
     assert max(final) < 1.0 and final[0] != final[1]
     want = [f"task {j + 1}: {a:.4f}" for j, a in enumerate(final)]
     assert printed == want + [f"average: {float(np.mean(final)):.4f}"]
+
+
+@pytest.fixture
+def idx_run(tmp_path):
+    """An IDX directory of 4 classes of noisy 6x6 tiles and the checkpoint
+    of a 2-task run on it."""
+    rng = np.random.default_rng(0)
+    patterns = rng.integers(0, 256, size=(4, 6, 6))
+    data_dir = tmp_path / "idx"
+    data_dir.mkdir()
+    for part, n in (("train", 30), ("test", 10)):
+        labels = np.repeat(np.arange(4), n)
+        noise = rng.integers(-40, 41, size=(labels.size, 6, 6))
+        images = np.clip(patterns[labels] + noise, 0, 255)
+        write_idx(data_dir / MNIST_FILES[f"{part}_images"],
+                  data_dir / MNIST_FILES[f"{part}_labels"], images, labels)
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", "mnist", "--data-dir", str(data_dir), "--num-tasks", "2",
+                 "--classes-per-task", "2", "--memory-size", "20", "--feat-dim", "4",
+                 "--hidden-dim", "8", "--out-dir", str(out)]) == 0
+    return data_dir, out / "checkpoint_seed0.npz"
+
+
+def test_eval_reads_only_the_idx_test_pair(idx_run, tmp_path, capsys):
+    data_dir, ckpt = idx_run
+    test_only = tmp_path / "test_only"
+    test_only.mkdir()
+    for key in ("test_images", "test_labels"):
+        shutil.copy(data_dir / MNIST_FILES[key], test_only / MNIST_FILES[key])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 0
+    full = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(test_only)]) == 0
+    assert capsys.readouterr().out == full
+    assert full.splitlines()[-1].startswith("average: ")
+
+
+@pytest.mark.parametrize("missing", ["test_images", "test_labels"])
+def test_eval_missing_idx_test_file_is_data_error(idx_run, missing, capsys):
+    data_dir, ckpt = idx_run
+    (data_dir / MNIST_FILES[missing]).unlink()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 2
+    assert "data error" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from otcl.harness import (
 )
 from otcl.losses import PreservationConfig
 from otcl.mixture import ClassMixture, OtmmConfig
-from otcl.model import FeatureExtractor
+from otcl.model import FeatureExtractor, load_checkpoint
 
 
 def small_extractor(input_dim=2, feat_dim=4, seed=0):
@@ -144,6 +144,86 @@ def test_evaluate_task_fractional_accuracy():
     labels = np.array([preds[0], preds[1], preds[2], 1 - preds[3]])
     batch = Batch(features=xs, labels=labels)
     assert evaluate_task(batch, fe, mixtures) == pytest.approx(0.75)
+
+
+def test_evaluate_task_tie_breaks_to_smaller_class_id():
+    # classes 3 and 8 share one centroid table, placed on the test rows'
+    # own features; the random classes around them sit far away
+    fe = FeatureExtractor(784, 128, seed=0)
+    rng = default_rng(5)
+    xs = rng.random((40, 784))
+    shared = fe.features_np(xs[:2])
+    tables = {c: 10.0 * rng.normal(size=(2, 128)) for c in range(10)}
+    tables[3], tables[8] = shared, shared.copy()
+    batch = Batch(features=xs[:2], labels=np.array([3, 3]))
+    for order in (range(10), reversed(range(10))):
+        mixtures = {c: mixture_at(tables[c]) for c in order}
+        assert evaluate_task(batch, fe, mixtures) == 1.0
+
+
+def test_float32_evaluation_agrees_with_float64_outside_near_ties():
+    """Evaluation runs the forward in float32; away from a tie it must pick
+    the centroid the float64 forward and a brute-force argmin pick.
+
+    Margin, fixed from the dtype before running: the float32 forward
+    perturbs each feature row by delta with |delta| <= RHO |z|. Inputs,
+    weights and biases are rounded once (u = 2**-24, about 6e-8), and each
+    float32 dot product of length n <= 784 adds at most n u (about 4.7e-5)
+    of the sum of |x_i w_i|, which for Gaussian weights is about ten times
+    |sum x_i w_i| per layer: RHO = 1e-3 bounds the three layers. A delta
+    moves d_c - d_1 = |z - mu_c|^2 - |z - mu_1|^2 by at most
+    2 |delta| |mu_1 - mu_c| <= 2 RHO |z| (sqrt(d_1) + sqrt(d_c)), and that
+    bound grows slower than d_c, so a row whose two nearest centroids
+    (float64, squared distances d_1 <= d_2) satisfy
+    d_2 - d_1 > 2 RHO |z| (sqrt(d_1) + sqrt(d_2)) cannot change its
+    nearest centroid. The float64 distance form rounds at about 1e-16 of
+    |z|^2 + |mu|^2, far below that margin.
+    """
+    RHO = 1e-3
+    fe = FeatureExtractor(784, 128, seed=3)
+    rng = default_rng(11)
+    x = rng.random((2000, 784))
+    z = fe.forward_np(x)[0]
+    z32 = fe.features_np(x, dtype=np.float32)
+    assert z32.dtype == np.float32
+    err = np.linalg.norm(z32 - z, axis=1) / np.linalg.norm(z, axis=1)
+    assert err.max() <= RHO  # the bound the margin rests on
+
+    # pairs of classes whose centroids differ by offsets from 1e-1 to 1e-6
+    # of the centroid's norm, so rows land on both sides of the margin
+    anchors = fe.forward_np(rng.random((10, 784)))[0]
+    tables = {}
+    for k, scale in enumerate((1e-1, 1e-2, 1e-3, 1e-4, 1e-6)):
+        base = anchors[2 * k : 2 * k + 2]
+        step = rng.normal(size=base.shape)
+        step *= scale * np.linalg.norm(base, axis=1, keepdims=True) / np.linalg.norm(
+            step, axis=1, keepdims=True
+        )
+        tables[2 * k], tables[2 * k + 1] = base, base + step
+    mixtures = {c: mixture_at(t) for c, t in tables.items()}
+
+    table = np.concatenate([tables[c] for c in sorted(tables)])
+    owner = np.repeat(sorted(tables), 2)
+    d = ((z[:, None, :] - table[None, :, :]) ** 2).sum(axis=2)
+    want = owner[np.argmin(d, axis=1)]
+    d1, d2 = np.sort(d, axis=1)[:, :2].T
+    clear = d2 - d1 > 2 * RHO * np.linalg.norm(z, axis=1) * (np.sqrt(d1) + np.sqrt(d2))
+    assert clear.sum() >= 300 and (~clear).sum() >= 300  # both sides are populated
+    assert evaluate_task(Batch(x[clear], want[clear]), fe, mixtures) == 1.0
+
+
+def test_evaluation_does_not_touch_training(tmp_path):
+    # evaluating after every batch must leave every trained array bit for bit
+    runs = {}
+    for every in (False, True):
+        out = tmp_path / str(every)
+        run_experiment(tiny_run_config(out_dir=str(out), eval_every_batch=every))
+        runs[every], _ = load_checkpoint(str(out / "checkpoint_seed0.npz"))
+    assert runs[True].keys() == runs[False].keys()
+    for group, arrays in runs[False].items():
+        assert arrays.keys() == runs[True][group].keys()
+        for name, arr in arrays.items():
+            assert arr.tobytes() == runs[True][group][name].tobytes(), (group, name)
 
 
 def test_evaluate_task_rejects_empty_mixtures():
