@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import Batch, IdxError, SynthSpec, gen_synthetic, load_idx, ring_centers, split_tasks
+from .data import Batch, IdxError, SynthSpec, gen_synthetic, read_idx, ring_centers, split_tasks
 from .harness import MNIST_FILES, RunConfig, evaluate_task, load_model, run_experiment
 from .losses import PreservationConfig
 from .mixture import OtmmConfig
@@ -174,7 +174,7 @@ def _load_model_and_test(args: argparse.Namespace):
             images, labels = (
                 os.path.join(args.data_dir, MNIST_FILES[k]) for k in ("test_images", "test_labels")
             )
-            return fe, state, meta, Batch.of(load_idx(images, labels))
+            return fe, state, meta, read_idx(images, labels)
         with np.load(args.synth_npz) as z:
             return fe, state, meta, Batch(z["test_features"], z["test_labels"].astype(np.int64))
     except (ValueError, OSError, KeyError) as err:  # IdxError is a ValueError

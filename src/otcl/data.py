@@ -86,8 +86,8 @@ def _read_u32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx(images_path, labels_path) -> list[LabeledSample]:
-    """Read an IDX image/label file pair into samples with [0,1] features.
+def read_idx(images_path, labels_path) -> Batch:
+    """Read an IDX image/label file pair into one Batch with [0,1] features.
 
     Order is preserved. Raises BadMagicError / CountMismatchError /
     TruncatedFileError so callers can tell a wrong file from a damaged one.
@@ -120,10 +120,15 @@ def load_idx(images_path, labels_path) -> list[LabeledSample]:
             raise TruncatedFileError(
                 f"{labels_path}: expected {n_labels} label bytes, got {len(raw)}"
             )
-    labels = np.frombuffer(raw, dtype=np.uint8)
+    scaled = pixels.astype(np.float64)
+    scaled /= 255.0
+    return Batch(scaled, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
 
-    scaled = pixels.astype(np.float64) / 255.0
-    return [LabeledSample(scaled[i], int(labels[i])) for i in range(n)]
+
+def load_idx(images_path, labels_path) -> list[LabeledSample]:
+    """`read_idx` as one sample per row."""
+    batch = read_idx(images_path, labels_path)
+    return [LabeledSample(row, label) for row, label in zip(batch.features, batch.labels.tolist())]
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:

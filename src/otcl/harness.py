@@ -268,9 +268,9 @@ def _run_single_seed(
                 otmm_step(split_by_class(feats, union.labels), state, cfg.otmm, otmm_rng)
 
                 new_feats = feats[: len(batch)]
-                for c, rows in sorted(split_by_class(batch.features, batch.labels).items()):
+                for c in np.unique(batch.labels).tolist():
                     mask = batch.labels == c
-                    class_batch = Batch(features=rows, labels=batch.labels[mask])
+                    class_batch = Batch(features=batch.features[mask], labels=batch.labels[mask])
                     if cfg.random_insertion:
                         k = cfg.n_centroids
                         insert_random(mem, class_batch, insertion_budget(mem, c, k) * k)

@@ -1,7 +1,7 @@
 """Per-class Gaussian mixtures fitted online through the entropic OT dual.
 
 Each class keeps a K-component diagonal Gaussian mixture (mixing logits,
-centroids, log-scales) and a small scalar-output MLP acting as the
+centroids, log-scales) and a small scalar-output `model.MLP` acting as the
 Kantorovich potential of the semi-dual objective
 
     value = E_batch[phi(z)] + E_mixture[conjugate(z_tilde)],
@@ -20,14 +20,16 @@ and a `ClassGroup` stacks each run's features, draws and parameters along a
 leading class axis, padded to its largest class and masked. `update_phi`
 and `update_mixture` then take every phase step once for the whole group,
 with the value and exact gradient of the side being updated in closed form;
-the frozen side is only evaluated. A group draws all of its noise before its
-first step, in the order a per-class loop would: classes in ascending id;
-per class n_phi_steps draws, then n_mix_steps draws; each draw
-rng.random((m, K)) followed by rng.standard_normal((m, K, d)). Every step's
-new values are checked for finite values per class, and nothing is written
-back until every group of the call has stepped: a non-finite step leaves
-every class as it was. `dual_objective` builds the same value as an
-autodiff graph and is the oracle those gradients are tested against.
+the frozen side is only evaluated. The stacked potentials run through the
+extractor's kernel, `model.mlp_forward`/`mlp_backward`, class axis leading.
+A group draws all of its noise before its first step, in the order a
+per-class loop would: classes in ascending id; per class n_phi_steps draws,
+then n_mix_steps draws; each draw rng.random((m, K)) followed by
+rng.standard_normal((m, K, d)). Every step's new values are checked for
+finite values per class, and nothing is written back until every group of
+the call has stepped: a non-finite step leaves every class as it was.
+`dual_objective` builds the same value as an autodiff graph and is the
+oracle those gradients are tested against.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, ParamSet, Tensor
+from .model import MLP, Layers, mlp_backward, mlp_forward
 
 POTENTIAL_WIDTH = 64
 
@@ -145,25 +148,16 @@ class ClassMixture:
         return self.params["mu"].data.copy()
 
 
-class DualPotential:
+class DualPotential(MLP):
     """Scalar-output ReLU MLP (feat_dim -> 64 -> 64 -> 1): the trainable
     Kantorovich potential of the semi-dual transport objective."""
 
     def __init__(self, feat_dim: int, seed: int = 0, hidden: int = POTENTIAL_WIDTH):
-        self.params = ParamSet()
-        rng = np.random.default_rng(seed)
-        dims = [feat_dim, hidden, hidden, 1]
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            self.params.add(f"w{i}", w)
-            self.params.add(f"b{i}", np.zeros((1, fan_out)))
+        super().__init__([feat_dim, hidden, hidden, 1], seed)
 
     def forward(self, z: Tensor) -> Tensor:
         """(n, feat_dim) -> (n,) potential values."""
-        h = ad.relu(ad.add(ad.matmul(z, self.params["w0"]), self.params["b0"]))
-        h = ad.relu(ad.add(ad.matmul(h, self.params["w1"]), self.params["b1"]))
-        out = ad.add(ad.matmul(h, self.params["w2"]), self.params["b2"])
-        return ad.reshape(out, (z.shape[0],))
+        return ad.reshape(super().forward(z), (z.shape[0],))
 
 
 def gumbel_softmax_sample(
@@ -416,28 +410,9 @@ class ClassGroup:
         self.potential.write_back()
 
 
-def _forward(v: dict[str, np.ndarray], z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Input of every potential layer and the (C, N) potential values."""
-    n_layers = len(v) // 2
-    inputs = [z]
-    for i in range(n_layers):
-        a = np.matmul(inputs[-1], v[f"w{i}"])
-        a += v[f"b{i}"]
-        if i < n_layers - 1:
-            inputs.append(np.maximum(a, 0.0, out=a))
-    return inputs, a[:, :, 0]
-
-
-def _backward(stack: _Stack, inputs: list[np.ndarray], g: np.ndarray) -> None:
-    """Back-propagate d value/d p (C, N, 1) through the ReLU layers into
-    the stack's gradient buffer."""
-    for i in reversed(range(len(inputs))):
-        h = inputs[i]
-        np.matmul(h.transpose(0, 2, 1), g, out=stack.g[f"w{i}"])
-        np.sum(g, axis=1, keepdims=True, out=stack.g[f"b{i}"])
-        if i:
-            g = np.matmul(g, stack.v[f"w{i}"].transpose(0, 2, 1))
-            g *= h > 0
+def _layers(views: dict[str, np.ndarray]) -> Layers:
+    """A potential stack's `(w, b)` views; `_Stack.advance` swaps them."""
+    return [(views[f"w{i}"], views[f"b{i}"]) for i in range(len(views) // 2)]
 
 
 def stacked_draws(
@@ -499,10 +474,12 @@ def phi_gradient(group: ClassGroup, cfg: OtmmConfig, x: np.ndarray) -> np.ndarra
     d value/d p_j = 1/n - (1/m) sum_i P_ij, back-propagated once through
     the potential.
     """
-    inputs, p = _forward(group.potential.v, group.z)
+    layers = _layers(group.potential.v)
+    p, hidden = mlp_forward(layers, group.z)
+    p = p[:, :, 0]
     plan_t, conj = _plan(x, p + group.neg_z_sq, group, cfg.epsilon)
     g_p = group.row_w[:, :, None] - np.matmul(plan_t, group.draw_w[:, :, None])
-    _backward(group.potential, inputs, g_p)
+    mlp_backward(layers, [group.z, *hidden], g_p, _layers(group.potential.g))
     return _value(group, p, conj)
 
 
@@ -555,7 +532,7 @@ def update_mixture(group: ClassGroup, cfg: OtmmConfig) -> np.ndarray:
     """n_mix_steps gradient-descent steps on every class's dual value w.r.t.
     alpha/mu/log_sigma, potentials frozen — pulls each mixture toward its
     class's data. Returns the (n_mix_steps, C) values before each step."""
-    p = _forward(group.potential.v, group.z)[1]
+    p = mlp_forward(_layers(group.potential.v), group.z)[0][:, :, 0]
     values = np.empty((cfg.n_mix_steps, len(group.ids)))
     for s in range(cfg.n_mix_steps):
         values[s] = mixture_gradient(group, cfg, s, p)

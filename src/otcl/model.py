@@ -1,15 +1,14 @@
-"""Feature extractor and per-class prototype logit head.
+"""The one ReLU MLP, the feature extractor, and the prototype logit head.
 
-The extractor is a plain ReLU MLP (input -> 400 -> 400 -> feat_dim). It
-trains on plain numpy arrays: `forward_np` is the one numpy definition of
-the network (inference goes through it too, via `features_np`) and
-`backward_np` writes the parameter gradients in place. `forward`, over the
-autodiff tensors, is the oracle the tests check both against. The float64
-parameters are the master copy: training and the default `features_np` run
-on them, while evaluation asks `features_np` for float32 and runs the same
-layer loop on a float32 copy of the weights. Class logits are pure inner
-products against one trainable prototype row per class seen so far — no
-bias, no normalization.
+`MLP` is both the extractor (input -> 400 -> 400 -> feat_dim) and each
+class's transport potential (`mixture.DualPotential`). `mlp_forward` and
+`mlp_backward` are its numpy forward and backward over any leading axes:
+(n, d) rows for the extractor, a class-stacked batch for the potentials.
+`MLP.forward`, over the autodiff tensors, is their test oracle. Training
+runs on the float64 parameters; evaluation asks `features_np` for float32,
+the same kernel on a float32 copy of the weights. Class logits are pure
+inner products against one trainable prototype row per class seen so far —
+no bias, no normalization.
 """
 
 from __future__ import annotations
@@ -27,24 +26,19 @@ PROTO_INIT_STD = 0.1  # prototypes start as N(0, 0.01 I) draws
 
 CHECKPOINT_VERSION = 1
 
+Layers = list[tuple[np.ndarray, np.ndarray]]
 
-class FeatureExtractor:
-    """Two-hidden-layer ReLU MLP; owns its parameters in a ParamSet."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        feat_dim: int = DEFAULT_FEAT_DIM,
-        seed: int = 0,
-        hidden: int = HIDDEN_WIDTH,
-    ):
-        if input_dim < 1 or feat_dim < 1 or hidden < 1:
+class MLP:
+    """ReLU MLP dims[0] -> ... -> dims[-1], linear last layer; owns its
+    parameters `w{i}` (fan_in, fan_out) and `b{i}` (1, fan_out) in a ParamSet."""
+
+    def __init__(self, dims: list[int], seed: int = 0):
+        if min(dims) < 1:
             raise ValueError("dimensions must be positive")
-        self.input_dim = input_dim
-        self.feat_dim = feat_dim
+        self.dims = list(dims)
         self.params = ParamSet()
         rng = np.random.default_rng(seed)
-        dims = [input_dim, hidden, hidden, feat_dim]
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             # Kaiming-style scaling keeps ReLU activations from dying or blowing up
             w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
@@ -52,63 +46,77 @@ class FeatureExtractor:
             self.params.add(f"b{i}", np.zeros((1, fan_out)))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Differentiable batch forward pass: (n, input_dim) -> (n, feat_dim)."""
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"input dim {x.shape[-1]} != expected {self.input_dim}"
-            )
-        h = ad.relu(ad.add(ad.matmul(x, self.params["w0"]), self.params["b0"]))
-        h = ad.relu(ad.add(ad.matmul(h, self.params["w1"]), self.params["b1"]))
-        return ad.add(ad.matmul(h, self.params["w2"]), self.params["b2"])
-
-    def forward_np(
-        self, x: np.ndarray, weights: list[tuple[np.ndarray, np.ndarray]] | None = None
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Graph-free forward pass: features (n, feat_dim) and the two ReLU
-        outputs, which `backward_np` takes (their positive entries are the
-        ReLU masks). `weights` are the `(w, b)` pairs to run, by default the
-        parameters themselves."""
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
-        *relu_layers, (w_out, b_out) = self.weights() if weights is None else weights
-        hidden = []
+        """Differentiable forward pass: (n, dims[0]) -> (n, dims[-1])."""
+        if x.shape[-1] != self.dims[0]:
+            raise ValueError(f"input dim {x.shape[-1]} != expected {self.dims[0]}")
+        n_layers = len(self.dims) - 1
         h = x
-        for w, b in relu_layers:
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-            hidden.append(h)
-        z = h @ w_out
-        z += b_out
-        return z, hidden
+        for i in range(n_layers):
+            h = ad.add(ad.matmul(h, self.params[f"w{i}"]), self.params[f"b{i}"])
+            if i < n_layers - 1:
+                h = ad.relu(h)
+        return h
 
-    def weights(self, dtype=np.float64) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The `(w, b)` pair of each layer: the float64 parameter arrays
-        themselves, or a copy of them in another dtype."""
+    def weights(self, dtype=np.float64) -> Layers:
+        """Each layer's `(w, b)`: the parameter arrays, or a copy in `dtype`."""
         p = self.params
         return [
             (p[f"w{i}"].data.astype(dtype, copy=False), p[f"b{i}"].data.astype(dtype, copy=False))
-            for i in range(3)
+            for i in range(len(self.dims) - 1)
         ]
 
-    def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
-        """Write d(loss)/d(parameter) into every parameter's `.grad`, given
-        the cotangent `gz` of the features of `x` and the `hidden` outputs
-        of `forward_np(x)`.
 
-        Each product and sum is the one the autodiff graph of `forward`
-        computes, so the gradients are bit for bit those of `ad.backward`.
-        The gradient of the input batch is never formed.
-        """
+def mlp_forward(layers: Layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Outputs and ReLU outputs (for `mlp_backward`) of the `(w, b)` layers
+    on `x`. Leading axes broadcast: a stack of networks is one batched pass."""
+    *relu_layers, (w_out, b_out) = layers
+    hidden = []
+    h = x
+    for w, b in relu_layers:
+        h = np.matmul(h, w)
+        h += b
+        np.maximum(h, 0.0, out=h)
+        hidden.append(h)
+    out = np.matmul(h, w_out)
+    out += b_out
+    return out, hidden
+
+
+def mlp_backward(layers: Layers, inputs: list[np.ndarray], g: np.ndarray, grads: Layers) -> None:
+    """Write d(loss)/d(w, b) into the `(w, b)` buffers `grads`, given the
+    cotangent `g` of the outputs and `inputs` = (x, *hidden) of every layer.
+    Bit for bit the autodiff graph of `MLP.forward`; d/dx is never formed."""
+    for i in reversed(range(len(layers))):
+        g_w, g_b = grads[i]
+        np.sum(g, axis=-2, keepdims=True, out=g_b)
+        np.matmul(inputs[i].swapaxes(-1, -2), g, out=g_w)
+        if i:
+            g = np.matmul(g, layers[i][0].swapaxes(-1, -2))
+            g *= inputs[i] > 0
+
+
+class FeatureExtractor(MLP):
+    """The contraction feature extractor: input -> hidden -> hidden -> feat_dim."""
+
+    def __init__(
+        self, input_dim: int, feat_dim: int = DEFAULT_FEAT_DIM, seed: int = 0,
+        hidden: int = HIDDEN_WIDTH,
+    ):
+        super().__init__([input_dim, hidden, hidden, feat_dim], seed)
+        self.input_dim = input_dim
+        self.feat_dim = feat_dim
+
+    def forward_np(self, x: np.ndarray, weights: Layers | None = None):
+        """`mlp_forward` on (n, input_dim) rows, by default of the parameters."""
+        if x.shape[-1] != self.input_dim:
+            raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
+        return mlp_forward(self.weights() if weights is None else weights, x)
+
+    def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
+        """`mlp_backward` into each `.grad`, given `forward_np(x)`'s `hidden`."""
         p = self.params
-        inputs = (x, *hidden)
-        g = gz
-        for i in (2, 1, 0):
-            np.sum(g, axis=0, keepdims=True, out=p[f"b{i}"].grad)
-            np.matmul(inputs[i].T, g, out=p[f"w{i}"].grad)
-            if i:
-                g = g @ p[f"w{i}"].data.T
-                g *= inputs[i] > 0
+        grads = [(p[f"w{i}"].grad, p[f"b{i}"].grad) for i in range(len(self.dims) - 1)]
+        mlp_backward(self.weights(), [x, *hidden], gz, grads)
 
     def features_np(self, x: np.ndarray, chunk: int = 4096, dtype=np.float64) -> np.ndarray:
         """Inference-only forward pass on raw arrays (no graph, chunked).

@@ -76,18 +76,9 @@ def _select_closest_per_centroid(
     """
     dists = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     chosen: list[int] = []
-    taken: set[int] = set()
     for k in range(centroids.shape[0]):
-        order = np.argsort(dists[:, k], kind="stable")
-        picked = 0
-        for idx in order:
-            if picked == n_per_centroid:
-                break
-            if int(idx) in taken:
-                continue
-            chosen.append(int(idx))
-            taken.add(int(idx))
-            picked += 1
+        order = np.argsort(dists[:, k], kind="stable").tolist()
+        chosen += [i for i in order if i not in chosen][:n_per_centroid]
     return chosen
 
 

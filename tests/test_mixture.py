@@ -687,6 +687,30 @@ def test_otmm_step_matches_autodiff_reference(monkeypatch):
         assert rng.random() == ref_rng.random()  # same stream position
 
 
+def test_stacked_potentials_run_the_extractor_kernel_bit_for_bit():
+    # The transport step runs model.mlp_forward/mlp_backward on a _Stack of
+    # potentials with a leading class axis; with equal row counts, every
+    # class's values and (w, b) gradients are those of its potential run
+    # alone through the same kernel, byte for byte.
+    rng = np.random.default_rng(70)
+    phis = [mx.DualPotential(8, seed=s) for s in (1, 2, 3, 4)]
+    z = rng.standard_normal((4, 20, 8))
+    g = rng.standard_normal((4, 20, 1))
+    stack = mx._Stack([phi.params for phi in phis])
+    layers = mx._layers(stack.v)
+    out, hidden = model.mlp_forward(layers, z)
+    model.mlp_backward(layers, [z, *hidden], g, mx._layers(stack.g))
+    for c, phi in enumerate(phis):
+        alone = phi.weights()
+        out_c, hidden_c = model.mlp_forward(alone, z[c])
+        grads_c = [(np.empty_like(w), np.empty_like(b)) for w, b in alone]
+        model.mlp_backward(alone, [z[c], *hidden_c], g[c], grads_c)
+        assert out[c].tobytes() == out_c.tobytes()
+        for (g_w, g_b), (g_w_c, g_b_c) in zip(mx._layers(stack.g), grads_c):
+            assert g_w[c].tobytes() == g_w_c.tobytes()
+            assert g_b[c].tobytes() == g_b_c.tobytes()
+
+
 def test_class_stepped_alone_matches_it_stacked_beside_a_larger_class(monkeypatch):
     # Stacked with class 4, class 1's rows and draws are padded from 3 to 9;
     # alone, they are not. Class 1 draws its noise first either way.
