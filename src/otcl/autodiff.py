@@ -12,7 +12,8 @@ Training builds no graph: the transport step (`mixture`) and the
 preservation step (`losses`, `model`) compute their gradients in closed form
 on numpy arrays, and the graphs of their losses built here are the oracles
 the tests hold them to. `ParamSet` holds every trainable array with its
-gradient buffer and takes the checked SGD step.
+gradient buffer and takes the checked SGD step, at one rate or at a rate
+per parameter; `ParamSet.union` steps several sets as one.
 """
 
 from __future__ import annotations
@@ -362,18 +363,38 @@ class ParamSet:
         for t in self._params.values():
             t.zero_grad()
 
-    def step(self, lr: float):
+    @classmethod
+    def union(cls, *groups) -> "ParamSet":
+        """One set over the same `Tensor` objects as `groups` (ParamSets or
+        name -> Tensor maps), in the order given; names must not repeat."""
+        out = cls()
+        for group in groups:
+            for name, t in group.items():
+                if name in out._params:
+                    raise ValueError(f"duplicate parameter name: {name}")
+                out._params[name] = t
+        return out
+
+    def step(self, lr):
         """One SGD step: p <- p - lr * grad, then zero the accumulators.
 
+        `lr` is one positive rate for every parameter, or a {name: rate} map
+        with a non-negative rate for each (0 leaves that parameter in place).
         Each new value is computed in its gradient buffer (p + (-lr) * grad,
         bit for bit p - lr * grad) and every one is checked before any is
         written: a non-finite step leaves all parameters unchanged and names
         the first non-finite one in insertion order.
         """
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        for t in self._params.values():
-            t.grad *= -lr
+        if not isinstance(lr, dict):
+            if lr <= 0:
+                raise ValueError("learning rate must be positive")
+            lr = dict.fromkeys(self._params, lr)
+        elif lr.keys() != self._params.keys():
+            raise ValueError("need exactly one learning rate per parameter")
+        elif any(r < 0 for r in lr.values()):
+            raise ValueError("learning rates must be non-negative")
+        for name, t in self._params.items():
+            t.grad *= -lr[name]
             t.grad += t.data
         for name, t in self._params.items():
             if not np.isfinite(t.grad).all():

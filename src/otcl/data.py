@@ -194,8 +194,8 @@ def make_split_stream(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    data = Batch.of(samples)
-    classes = np.unique(data.labels)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    classes = np.unique(labels)
     if num_tasks * classes_per_task != len(classes):
         raise ValueError(
             f"{num_tasks} tasks x {classes_per_task} classes != {len(classes)} classes present"
@@ -206,10 +206,13 @@ def make_split_stream(
 
     rng = np.random.default_rng(seed)
     tasks = []
-    for class_ids, idx in task_blocks(data.labels, num_tasks, classes_per_task):
+    for class_ids, idx in task_blocks(labels, num_tasks, classes_per_task):
         idx = idx[rng.permutation(len(idx))]
+        # one stack per task, in stream order, with every batch a view of
+        # it: no stacked copy of the whole train set sits next to the stream
+        rows = Batch.of([samples[j] for j in idx])
         batches = tuple(
-            Batch(data.features[idx[i : i + batch_size]], data.labels[idx[i : i + batch_size]])
+            Batch(rows.features[i : i + batch_size], rows.labels[i : i + batch_size])
             for i in range(0, len(idx), batch_size)
         )
         tasks.append(Task(class_ids, batches))

@@ -225,13 +225,17 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[LabeledSample], list[LabeledSamp
 
 
 def _run_single_seed(
-    cfg: RunConfig, seed: int, on_row=None
+    cfg: RunConfig,
+    seed: int,
+    train: list[LabeledSample],
+    test_batches: list[Batch],
+    on_row=None,
 ) -> tuple[AccMatrix, FeatureExtractor, OtmmState, ClassPrototypes]:
-    train, test = _load_dataset(cfg)
+    """One seed's pass over the stream of `train`, evaluated on the held-out
+    `test_batches` (one per task); neither is written to."""
     stream = make_split_stream(
         train, cfg.num_tasks, cfg.classes_per_task, cfg.batch_size, seed=seed
     )
-    test_batches = split_tasks(Batch.of(test), cfg.num_tasks, cfg.classes_per_task)
     input_dim = train[0].features.shape[0]
 
     fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
@@ -372,8 +376,13 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
             rows.append((seed, task_idx + 1, j + 1, a))
 
     try:
+        # every seed streams the same data and is scored on the same split
+        train, test = _load_dataset(cfg)
+        test_batches = split_tasks(Batch.of(test), cfg.num_tasks, cfg.classes_per_task)
         for seed in cfg.seeds:
-            acc, fe, state, protos = _run_single_seed(cfg, seed, on_row=on_row)
+            acc, fe, state, protos = _run_single_seed(
+                cfg, seed, train, test_batches, on_row=on_row
+            )
             matrices[seed] = acc
             T = cfg.num_tasks
             per_seed[str(seed)] = {

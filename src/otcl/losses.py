@@ -6,7 +6,8 @@ The two phases run per incoming joint batch (stream batch plus replay draw):
 1. separation — cross-entropy of inner-product logits against every class
    seen so far, averaged within each class present and summed over classes;
    the feature extractor takes full steps while prototype rows of old
-   classes step at a damped rate (clip factor).
+   classes step at a damped rate (clip factor). Prototypes and extractor
+   move in one checked `ParamSet.step`, with a rate per parameter.
 2. compression — per-class means of the current features become constant
    anchors; samples are pulled to their own anchor and pushed from the rest.
    Only the extractor moves here.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NumericsError, Tensor
+from .autodiff import NumericsError, ParamSet, Tensor
 from .data import Batch
 from .model import ClassPrototypes, FeatureExtractor, class_logits
 
@@ -72,26 +73,6 @@ def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> T
     true_col = np.array([col[int(c)] for c in labels])
     nll = ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, true_col))
     return ad.tsum(ad.mul(nll, Tensor(_class_weights(labels))))
-
-
-def apply_clip_grad(
-    protos: ClassPrototypes,
-    clip_alpha: float,
-    lr_proto: float,
-    old_classes,
-) -> None:
-    """Consume prototype gradients: full step for new classes, `clip_alpha`
-    of the step for old ones. Zeroes the accumulators afterward."""
-    if lr_proto <= 0:
-        raise ValueError("learning rate must be positive")
-    if not 0.0 <= clip_alpha <= 1.0:
-        raise ValueError("clip_alpha must lie in [0, 1]")
-    old = set(int(c) for c in old_classes)
-    for c in protos.known():
-        t = protos.params[f"proto_{c}"]
-        factor = clip_alpha if c in old else 1.0
-        t.data -= lr_proto * factor * t.grad
-        t.zero_grad()
 
 
 def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -214,35 +195,16 @@ def compression_value_and_grad(
     return value, 2.0 * np.einsum("nm,nmd->nd", g_dists, diff)
 
 
-def _step_extractor(fe: FeatureExtractor, protos: ClassPrototypes, lr: float, phase: str) -> None:
-    """`ParamSet.step` on the extractor, with the phase added to a failure
-    (which writes nothing and drops every pending gradient)."""
+def _step(params: ParamSet, lr, phase: str) -> None:
+    """`params.step(lr)` with the phase added to a failure (which writes
+    nothing and drops every pending gradient of `params`)."""
     try:
-        fe.params.step(lr)
+        params.step(lr)
     except NumericsError as err:
-        protos.params.zero_grad()
         raise NumericsError(
             f"non-finite {phase} step for parameter {err.param!r}",
             phase=phase, param=err.param,
         ) from err
-
-
-def _check_prototype_step(
-    fe: FeatureExtractor, protos: ClassPrototypes, cfg: PreservationConfig, old_classes
-) -> None:
-    """Raise before anything is written if the step `apply_clip_grad` is
-    about to take would make a prototype row non-finite."""
-    old = set(old_classes)
-    for c in protos.known():
-        t = protos.params[f"proto_{c}"]
-        factor = cfg.clip_alpha if c in old else 1.0
-        if not np.isfinite(t.data - cfg.lr_proto * factor * t.grad).all():
-            fe.params.zero_grad()
-            protos.params.zero_grad()
-            raise NumericsError(
-                f"non-finite separation step for parameter 'proto_{c}'",
-                phase="separation", param=f"proto_{c}",
-            )
 
 
 def dynamic_preservation_step(
@@ -254,9 +216,11 @@ def dynamic_preservation_step(
 ) -> dict:
     """One preservation pass over a joint batch; returns loss traces.
 
-    Runs `steps_l1` separation updates (extractor full-rate, prototypes
-    clip-controlled), freezes the per-class means of the resulting features,
-    then runs `steps_l2` compression updates on the extractor alone.
+    Runs `steps_l1` separation updates (extractor at `lr_theta`, new-class
+    prototypes at `lr_proto`, old-class ones at `lr_proto * clip_alpha`, all
+    in one `ParamSet.step`), freezes the per-class means of the resulting
+    features, then runs `steps_l2` compression updates on the extractor
+    alone.
 
     A separation step whose new extractor or prototype values are not all
     finite writes none of them (prototypes are checked first), and a
@@ -265,7 +229,13 @@ def dynamic_preservation_step(
     """
     joint = join_batches(new_batch, replay_batch)
     new_classes = set(new_batch.labels.tolist())
-    old_classes = [c for c in protos.known() if c not in new_classes]
+    # prototypes in class order, then the extractor: the order of the checks
+    rows = {f"proto_{c}": protos.params[f"proto_{c}"] for c in protos.known()}
+    separation = ParamSet.union(rows, fe.params)
+    rates = {
+        f"proto_{c}": cfg.lr_proto * (1.0 if c in new_classes else cfg.clip_alpha)
+        for c in protos.known()
+    } | dict.fromkeys(fe.params, cfg.lr_theta)
 
     x = np.asarray(joint.features, dtype=np.float64)
     sep_trace, comp_trace = [], []
@@ -275,9 +245,7 @@ def dynamic_preservation_step(
         value, gz = separation_value_and_grad(z, joint.labels, protos)
         sep_trace.append(value)
         fe.backward_np(x, hidden, gz)
-        _check_prototype_step(fe, protos, cfg, old_classes)
-        _step_extractor(fe, protos, cfg.lr_theta, "separation")
-        apply_clip_grad(protos, cfg.clip_alpha, cfg.lr_proto, old_classes)
+        _step(separation, rates, "separation")
 
     # the means are frozen from the features the first compression step sees
     z, hidden = fe.forward_np(x)
@@ -289,6 +257,6 @@ def dynamic_preservation_step(
         value, gz = compression_value_and_grad(z, joint.labels, means)
         comp_trace.append(value)
         fe.backward_np(x, hidden, gz)
-        _step_extractor(fe, protos, cfg.lr_theta, "compression")
+        _step(fe.params, cfg.lr_theta, "compression")
 
     return {"separation": sep_trace, "compression": comp_trace, "means": means}

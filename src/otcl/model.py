@@ -139,8 +139,8 @@ class FeatureExtractor(MLP):
 class ClassPrototypes:
     """One trainable direction per class; logits are plain dot products.
 
-    Rows live in their own ParamSet so the losses can treat prototype
-    gradients differently from extractor gradients.
+    Rows live in their own ParamSet, one `proto_<c>` row per class, so the
+    separation step can give each row its own rate.
     """
 
     def __init__(self, feat_dim: int):

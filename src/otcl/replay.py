@@ -117,7 +117,6 @@ def insert_with_centroids(
     batch: Batch,
     features: np.ndarray | None,
     centroids: np.ndarray | None,
-    n_per_centroid: int | None = None,
 ) -> ReplayMemory:
     """Store the batch samples closest to each class centroid.
 
@@ -127,7 +126,7 @@ def insert_with_centroids(
     no replacement in that path. When the class store is full, each selected
     sample replaces a uniformly chosen existing entry of the same class.
 
-    The default selection budget is `insertion_budget`.
+    Each centroid selects `insertion_budget` rows.
     """
     if len(batch) == 0:
         return mem
@@ -146,8 +145,7 @@ def insert_with_centroids(
         raise ValueError("centroid-aware insertion needs the batch features")
     if features.shape[0] != len(batch):
         raise ValueError("features must align with the batch rows")
-    if n_per_centroid is None:
-        n_per_centroid = insertion_budget(mem, c, centroids.shape[0])
+    n_per_centroid = insertion_budget(mem, c, centroids.shape[0])
     selected = _select_closest_per_centroid(features, centroids, n_per_centroid)
     _store_selected(mem, batch, selected)
     return mem

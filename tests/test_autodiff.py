@@ -219,6 +219,46 @@ class TestSgdStep:
             np.testing.assert_array_equal(t.data, before[name])
 
 
+    def test_rate_per_parameter_steps_each_at_its_rate(self):
+        rng = np.random.default_rng(4)
+        ps, ref = ParamSet(), ParamSet()
+        for name in ("a", "b"):
+            value, grad = rng.normal(size=5), rng.normal(size=5)
+            for s in (ps, ref):
+                s.add(name, value).grad[:] = grad
+        b_before = ps["b"].data.tobytes()
+        ps.step({"a": 0.037, "b": 0.0})
+        ref.step(0.037)
+        assert ps["a"].data.tobytes() == ref["a"].data.tobytes()
+        assert ps["b"].data.tobytes() == b_before
+        assert not ps["a"].grad.any() and not ps["b"].grad.any()
+
+    @pytest.mark.parametrize(
+        "rates", [{"a": 0.1}, {"a": 0.1, "b": -0.1}, {"a": 0.1, "b": 0.1, "c": 0.1}]
+    )
+    def test_rate_map_needs_one_nonnegative_rate_per_parameter(self, rates):
+        ps = ParamSet()
+        ps.add("a", [1.0])
+        ps.add("b", [1.0])
+        with pytest.raises(ValueError):
+            ps.step(rates)
+
+    def test_union_steps_the_same_tensors_and_checks_in_order(self):
+        first, second = ParamSet(), ParamSet()
+        a = first.add("a", [1.0])
+        b = second.add("b", [2.0])
+        both = ParamSet.union(first, second)
+        assert both["a"] is a and both["b"] is b
+        a.grad[:], b.grad[:] = 1.0, np.inf
+        with pytest.raises(ad.NumericsError) as info:
+            both.step({"a": 0.5, "b": 0.5})
+        assert info.value.param == "b"
+        assert (a.data[0], b.data[0]) == (1.0, 2.0)
+        assert not a.grad.any() and not b.grad.any()
+        with pytest.raises(ValueError, match="duplicate"):
+            ParamSet.union(first, first)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_error_tiny(self):
         ps = ParamSet()

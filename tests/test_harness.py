@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,15 +424,37 @@ def test_random_insertion_ablation_runs(tmp_path):
     assert avg_accuracy(mats[0], 1) >= 0.9  # easy data: ablation still learns
 
 
+def test_two_seed_run_loads_and_splits_once(monkeypatch):
+    import otcl.harness as hz
+
+    calls = {"gen_synthetic": 0, "split_tasks": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(hz, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(hz, name, counted)
+    spec = SynthSpec(
+        num_classes=4, modes_per_class=2, mode_centers=ring_centers(4, 2, radius=1.0),
+        mode_scale=0.3, samples_per_class=60, seed=0,
+    )
+    cfg = tiny_run_config(synth=spec, num_tasks=2)
+    both, _ = run_experiment(replace(cfg, seeds=(0, 1)))
+    assert calls == {"gen_synthetic": 1, "split_tasks": 1}
+    for seed in (0, 1):
+        alone, _ = run_experiment(replace(cfg, seeds=(seed,)))
+        assert both[seed].values.tobytes() == alone[seed].values.tobytes()
+
+
 def test_partial_metrics_flushed_on_failure(tmp_path, monkeypatch):
     import otcl.harness as hz
 
     real = hz._run_single_seed
 
-    def flaky(cfg, seed, on_row):
+    def flaky(cfg, seed, train, test_batches, on_row):
         if seed == 1:
             raise ValueError("synthetic mid-run failure")
-        return real(cfg, seed, on_row)
+        return real(cfg, seed, train, test_batches, on_row)
 
     monkeypatch.setattr(hz, "_run_single_seed", flaky)
     cfg = tiny_run_config(out_dir=str(tmp_path), seeds=(0, 1))

@@ -87,9 +87,7 @@ class TestLossSeparation:
         x = Tensor(rng.normal(size=(5, 3)))
         labels = np.array([0, 1, 0, 1, 0])
 
-        both = ad.ParamSet()
-        for name, t in list(fe.params.items()) + list(protos.params.items()):
-            both._params[name] = t  # same underlying tensors, one sweep
+        both = ad.ParamSet.union(fe.params, protos.params)  # the same tensors, one sweep
 
         def loss_fn():
             return L.loss_separation(fe.forward(x), labels, protos)
@@ -97,57 +95,58 @@ class TestLossSeparation:
         assert ad.finite_diff_check(loss_fn, both, h=1e-5) <= 1e-4
 
 
-class TestApplyClipGrad:
-    def _protos_with_grads(self, seed=0):
+class TestSeparationRates:
+    """The separation step's one update: extractor at lr_theta, new-class
+    prototypes at lr_proto, old-class ones at lr_proto * clip_alpha."""
+
+    @staticmethod
+    def _step(clip_alpha, all_new=False, seed=0):
+        """One separation step on a batch of new class 2 joined with replay
+        rows of old classes 0 and 1; with `all_new` the stream batch is that
+        joint batch itself, so no class is old and the gradients are the same."""
         rng = np.random.default_rng(seed)
-        protos = make_protos(4, [0, 1, 2], seed=seed)
-        for c in protos.known():
-            protos.params[f"proto_{c}"].grad[:] = rng.normal(size=(1, 4))
-        return protos
+        fe = FeatureExtractor(4, feat_dim=3, seed=seed, hidden=8)
+        protos = make_protos(3, [0, 1, 2], seed=seed)
+        new = Batch(rng.normal(size=(5, 4)), np.full(5, 2))
+        replay = Batch(rng.normal(size=(6, 4)), np.array([0, 1] * 3))
+        before = {n: t.data.copy() for n, t in protos.params.items()}
+        if all_new:
+            new, replay = L.join_batches(new, replay), None
+        cfg = L.PreservationConfig(lr_proto=0.5, clip_alpha=clip_alpha, steps_l1=1, steps_l2=0)
+        L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+        return fe, protos, before
 
     def test_alpha_zero_freezes_old_bitwise(self):
-        protos = self._protos_with_grads()
-        before = {c: protos.params[f"proto_{c}"].data.tobytes() for c in (0, 1)}
-        L.apply_clip_grad(protos, clip_alpha=0.0, lr_proto=0.5, old_classes=[0, 1])
+        fe, protos, before = self._step(clip_alpha=0.0)
         for c in (0, 1):
-            assert protos.params[f"proto_{c}"].data.tobytes() == before[c]
+            assert protos.params[f"proto_{c}"].data.tobytes() == before[f"proto_{c}"].tobytes()
+        assert not np.array_equal(protos.params["proto_2"].data, before["proto_2"])
 
     def test_alpha_one_treats_all_equally(self):
-        pa = self._protos_with_grads(seed=1)
-        pb = self._protos_with_grads(seed=1)
-        L.apply_clip_grad(pa, clip_alpha=1.0, lr_proto=0.3, old_classes=[0, 1])
-        L.apply_clip_grad(pb, clip_alpha=1.0, lr_proto=0.3, old_classes=[])
-        for c in pa.known():
-            assert (
-                pa.params[f"proto_{c}"].data.tobytes()
-                == pb.params[f"proto_{c}"].data.tobytes()
-            )
+        damped = param_bytes(*self._step(clip_alpha=1.0)[:2])
+        no_old = param_bytes(*self._step(clip_alpha=0.1, all_new=True)[:2])
+        assert damped == no_old
 
     def test_alpha_tenth_scales_old_displacement_exactly(self):
-        protos = self._protos_with_grads(seed=2)
-        grads = {c: protos.params[f"proto_{c}"].grad.copy() for c in protos.known()}
-        before = {c: protos.params[f"proto_{c}"].data.copy() for c in protos.known()}
-        L.apply_clip_grad(protos, clip_alpha=0.1, lr_proto=0.2, old_classes=[0])
-        moved = {
-            c: protos.params[f"proto_{c}"].data - before[c] for c in protos.known()
+        fe, protos, before = self._step(clip_alpha=0.1)
+        fe_full, protos_full, _ = self._step(clip_alpha=1.0)
+        moved = {c: protos.params[f"proto_{c}"].data - before[f"proto_{c}"] for c in (0, 1, 2)}
+        full = {
+            c: protos_full.params[f"proto_{c}"].data - before[f"proto_{c}"] for c in (0, 1, 2)
         }
-        # reconstructed displacement carries one rounding of the subtraction
-        np.testing.assert_allclose(moved[0], -0.2 * 0.1 * grads[0], rtol=1e-12)
-        np.testing.assert_allclose(moved[1], -0.2 * grads[1], rtol=1e-12)
-        np.testing.assert_allclose(moved[2], -0.2 * grads[2], rtol=1e-12)
+        # reconstructed displacements carry one rounding of the subtraction
+        for c in (0, 1):
+            assert np.abs(full[c]).min() > 0
+            np.testing.assert_allclose(moved[c], 0.1 * full[c], rtol=1e-12)
+        # the new class and the extractor do not see the damping
+        assert moved[2].tobytes() == full[2].tobytes()
+        for name, t in fe.params.items():
+            assert t.data.tobytes() == fe_full.params[name].data.tobytes()
 
     def test_grads_zeroed_after(self):
-        protos = self._protos_with_grads(seed=3)
-        L.apply_clip_grad(protos, clip_alpha=0.5, lr_proto=0.1, old_classes=[0])
-        for c in protos.known():
-            assert not protos.params[f"proto_{c}"].grad.any()
-
-    def test_bad_args_rejected(self):
-        protos = self._protos_with_grads()
-        with pytest.raises(ValueError):
-            L.apply_clip_grad(protos, clip_alpha=1.5, lr_proto=0.1, old_classes=[])
-        with pytest.raises(ValueError):
-            L.apply_clip_grad(protos, clip_alpha=0.5, lr_proto=0.0, old_classes=[])
+        fe, protos, _ = self._step(clip_alpha=0.5)
+        for t in fe.params.tensors() + protos.params.tensors():
+            assert not t.grad.any()
 
 
 class TestMeanPrototypes:
@@ -353,6 +352,8 @@ class TestDynamicPreservationStep:
         with pytest.raises(ValueError):
             L.PreservationConfig(lr_theta=0.0)
         with pytest.raises(ValueError):
+            L.PreservationConfig(lr_proto=0.0)
+        with pytest.raises(ValueError):
             L.PreservationConfig(clip_alpha=2.0)
         with pytest.raises(ValueError):
             L.PreservationConfig(steps_l1=-1)
@@ -381,7 +382,11 @@ def reference_preservation_step(new_batch, replay_batch, fe, protos, cfg):
         protos.params.zero_grad()
         ad.backward(loss)
         fe.params.step(cfg.lr_theta)
-        L.apply_clip_grad(protos, cfg.clip_alpha, cfg.lr_proto, old_classes)
+        for c in protos.known():
+            t = protos.params[f"proto_{c}"]
+            factor = cfg.clip_alpha if c in old_classes else 1.0
+            t.data -= cfg.lr_proto * factor * t.grad
+            t.zero_grad()
 
     means = L.compute_mean_prototypes(fe.forward(x).data, joint.labels)
 
@@ -495,9 +500,7 @@ def closed_form_problem(seed):
     protos = make_protos(2, [0, 1, 2], seed=seed)
     x = rng.normal(size=(6, 3))
     labels = np.array([0, 0, 1, 1, 0, 1])
-    both = ad.ParamSet()
-    for name, t in list(fe.params.items()) + list(protos.params.items()):
-        both._params[name] = t  # same underlying tensors, one sweep
+    both = ad.ParamSet.union(fe.params, protos.params)  # the same tensors, one sweep
     return fe, protos, x, labels, both
 
 
@@ -563,6 +566,21 @@ def test_nonfinite_prototype_step_writes_nothing_and_names_the_prototype():
     assert param_bytes(fe, protos) == before
     for t in list(fe.params.tensors()) + list(protos.params.tensors()):
         assert not t.grad.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error
+def test_nonfinite_separation_step_checks_prototypes_in_class_order_before_the_extractor():
+    fe, _, new, replay = two_task_problem()
+    protos = ClassPrototypes(3)
+    protos.init_new_classes([1], seed=14)
+    protos.init_new_classes([0], seed=15)  # stored after class 1
+    before = param_bytes(fe, protos)
+    # every prototype and extractor step overflows
+    cfg = L.PreservationConfig(lr_theta=1e308, lr_proto=1e308, clip_alpha=1.0, steps_l2=0)
+    with pytest.raises(NumericsError) as info:
+        L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+    assert (info.value.phase, info.value.param) == ("separation", "proto_0")
+    assert param_bytes(fe, protos) == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error

@@ -30,10 +30,10 @@ def stored_counts(mem: rp.ReplayMemory) -> dict[int, int]:
 
 
 def test_closest_samples_win_per_centroid():
-    mem = rp.ReplayMemory(capacity=10)
+    mem = rp.ReplayMemory(capacity=2)  # a budget of 2 rows for the one centroid
     feats = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])  # distances 3, 1, 2
     batch = class_batch(0, feats)
-    rp.insert_with_centroids(mem, batch, feats, np.zeros((1, 2)), n_per_centroid=2)
+    rp.insert_with_centroids(mem, batch, feats, np.zeros((1, 2)))
     got = stored_features(mem, 0)
     np.testing.assert_array_equal(got, [[1.0, 0.0], [2.0, 0.0]])
 
@@ -46,8 +46,8 @@ def test_at_quota_insertion_replaces_exactly_j_old_entries():
 
     fresh_rows = np.array([[100.0], [101.0], [102.0]])
     fresh = class_batch(0, fresh_rows)
-    rp.insert_with_centroids(mem, fresh, fresh_rows, np.array([[100.0]]),
-                             n_per_centroid=3)
+    # at quota each centroid selects one row: the fresh rows as centroids pick all three
+    rp.insert_with_centroids(mem, fresh, fresh_rows, fresh_rows)
     assert mem.total() == 6
     got = stored_features(mem, 0).ravel()
     assert sum(1 for v in got if v >= 100.0) == 3  # the j fresh ones are in
@@ -62,8 +62,8 @@ def test_two_centroids_keep_one_exemplar_per_mode():
     feats = np.stack([s.features for s in train])
     batch = class_batch(0, feats)
 
-    mem = rp.ReplayMemory(capacity=100)
-    rp.insert_with_centroids(mem, batch, feats, centers[0], n_per_centroid=1)
+    mem = rp.ReplayMemory(capacity=2)  # a budget of 1 row per centroid
+    rp.insert_with_centroids(mem, batch, feats, centers[0])
     got = stored_features(mem, 0)
     assert got.shape == (2, 2)
     d_to = lambda center: np.linalg.norm(got - center, axis=1).min()
