@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from .autodiff import NumericsError
-from .data import Batch, IdxError, SynthSpec, gen_synthetic, read_idx, ring_centers, split_tasks
+from .data import Batch, IdxError, SynthSpec, gen_synthetic, load_idx, ring_centers, split_tasks
 from .harness import MNIST_FILES, RunConfig, evaluate_task, load_model, run_experiment
 from .losses import PreservationConfig
 from .mixture import OtmmConfig
@@ -174,7 +174,7 @@ def _load_model_and_test(args: argparse.Namespace):
             images, labels = (
                 os.path.join(args.data_dir, MNIST_FILES[k]) for k in ("test_images", "test_labels")
             )
-            return fe, state, meta, read_idx(images, labels)
+            return fe, state, meta, load_idx(images, labels)
         with np.load(args.synth_npz) as z:
             return fe, state, meta, Batch(z["test_features"], z["test_labels"].astype(np.int64))
     except (ValueError, OSError, KeyError) as err:  # IdxError is a ValueError
@@ -199,7 +199,7 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
         spec = _build_synth_spec({key: getattr(args, key) for key, *_ in SYNTH_KEYS})
     except (ValueError, TypeError) as err:
         raise CliError(1, f"config error: {err}") from err
-    train, test = (Batch.of(part) for part in gen_synthetic(spec))
+    train, test = gen_synthetic(spec)
     try:
         np.savez(
             args.out,

@@ -4,6 +4,10 @@ Three concerns live here: reading/writing the classic IDX image format,
 generating a controlled multimodal synthetic dataset, and slicing a labeled
 dataset into a single-pass class-incremental stream (disjoint class groups
 per task, fixed ascending order, shuffled batches within each task).
+
+Data travels as `Batch`: one (n, dim) feature array plus its int64 labels,
+from the readers through the stream to the replay memory. Iterating a
+`Batch` yields its rows as `LabeledSample`s.
 """
 
 from __future__ import annotations
@@ -35,11 +39,7 @@ class TruncatedFileError(IdxError):
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """One example: a flat feature vector plus an integer class id.
-
-    Pixel data arrives scaled to [0,1]; synthetic features live on whatever
-    scale their mode centers dictate.
-    """
+    """One row of a `Batch`: a 1-D view of its features and its class id."""
 
     features: np.ndarray
     label: int
@@ -47,19 +47,19 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class Batch:
+    """Labeled rows. Pixel data arrives scaled to [0,1]; synthetic features
+    live on whatever scale their mode centers dictate."""
+
     features: np.ndarray  # (n, dim)
     labels: np.ndarray  # (n,) int64
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @classmethod
-    def of(cls, samples) -> Batch:
-        """Labeled samples stacked into one batch, in order."""
-        return cls(
-            np.stack([s.features for s in samples]),
-            np.array([s.label for s in samples], dtype=np.int64),
-        )
+    def __iter__(self):
+        """The rows in order, each a view of `features` and a Python int."""
+        for row, label in zip(self.features, self.labels.tolist()):
+            yield LabeledSample(row, label)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _read_u32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def read_idx(images_path, labels_path) -> Batch:
+def load_idx(images_path, labels_path) -> Batch:
     """Read an IDX image/label file pair into one Batch with [0,1] features.
 
     Order is preserved. Raises BadMagicError / CountMismatchError /
@@ -123,12 +123,6 @@ def read_idx(images_path, labels_path) -> Batch:
     scaled = pixels.astype(np.float64)
     scaled /= 255.0
     return Batch(scaled, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
-
-
-def load_idx(images_path, labels_path) -> list[LabeledSample]:
-    """`read_idx` as one sample per row."""
-    batch = read_idx(images_path, labels_path)
-    return [LabeledSample(row, label) for row, label in zip(batch.features, batch.labels.tolist())]
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
@@ -180,7 +174,7 @@ def split_tasks(data: Batch, num_tasks: int, classes_per_task: int) -> list[Batc
 
 
 def make_split_stream(
-    samples: list[LabeledSample],
+    data: Batch,
     num_tasks: int,
     classes_per_task: int,
     batch_size: int,
@@ -188,14 +182,13 @@ def make_split_stream(
 ) -> TaskStream:
     """Slice a dataset into the fixed-order class-incremental stream.
 
-    Each task's samples (all classes of its block mixed) are shuffled once
-    under the seed and chunked; every sample lands in exactly one batch, so
+    Each task's rows (all classes of its block mixed) are shuffled once
+    under the seed and chunked; every row lands in exactly one batch, so
     a consumer that walks the stream sees each example a single time.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    classes = np.unique(labels)
+    classes = np.unique(data.labels)
     if num_tasks * classes_per_task != len(classes):
         raise ValueError(
             f"{num_tasks} tasks x {classes_per_task} classes != {len(classes)} classes present"
@@ -206,11 +199,10 @@ def make_split_stream(
 
     rng = np.random.default_rng(seed)
     tasks = []
-    for class_ids, idx in task_blocks(labels, num_tasks, classes_per_task):
+    for class_ids, idx in task_blocks(data.labels, num_tasks, classes_per_task):
         idx = idx[rng.permutation(len(idx))]
-        # one stack per task, in stream order, with every batch a view of
-        # it: no stacked copy of the whole train set sits next to the stream
-        rows = Batch.of([samples[j] for j in idx])
+        # one copy per task, in stream order, with every batch a view of it
+        rows = Batch(data.features[idx], data.labels[idx])
         batches = tuple(
             Batch(rows.features[i : i + batch_size], rows.labels[i : i + batch_size])
             for i in range(0, len(idx), batch_size)
@@ -280,21 +272,24 @@ def ring_centers(num_classes: int, modes_per_class: int, radius: float = 5.0,
     return centers
 
 
-def gen_synthetic(spec: SynthSpec) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Draw per-class mixtures and split 80/20 into train/test.
+def gen_synthetic(spec: SynthSpec) -> tuple[Batch, Batch]:
+    """Draw per-class mixtures and split 80/20 into (train, test).
 
     Mode assignment is uniform over the class's modes; samples are center +
-    scale * standard normal. Deterministic for a fixed spec.
+    scale * standard normal. Rows are grouped by ascending class, in draw
+    order within a class. Deterministic for a fixed spec.
     """
     rng = np.random.default_rng(spec.seed)
     dim = spec.mode_centers.shape[2]
-    train, test = [], []
+    n, n_train = spec.samples_per_class, _train_rows(spec.samples_per_class)
+    per_class = []
     for c in range(spec.num_classes):
-        modes = rng.integers(0, spec.modes_per_class, size=spec.samples_per_class)
-        noise = rng.standard_normal((spec.samples_per_class, dim))
-        points = spec.mode_centers[c][modes] + spec.mode_scale * noise
-        n_train = _train_rows(spec.samples_per_class)
-        for i in range(spec.samples_per_class):
-            sample = LabeledSample(points[i], c)
-            (train if i < n_train else test).append(sample)
-    return train, test
+        modes = rng.integers(0, spec.modes_per_class, size=n)
+        noise = rng.standard_normal((n, dim))
+        per_class.append(spec.mode_centers[c][modes] + spec.mode_scale * noise)
+    points = np.stack(per_class)  # (num_classes, n, dim)
+    classes = np.arange(spec.num_classes, dtype=np.int64)
+    return (
+        Batch(points[:, :n_train].reshape(-1, dim), np.repeat(classes, n_train)),
+        Batch(points[:, n_train:].reshape(-1, dim), np.repeat(classes, n - n_train)),
+    )

@@ -10,6 +10,10 @@ nearest-centroid classification, filling one row of the accuracy matrix.
 Everything is deterministic given the run seed: the model init, the stream
 shuffle, the replay draws/evictions, and the mixture noise all derive from
 it through named seed sequences.
+
+The data is loaded once per experiment as a (train, test) pair of `Batch`es.
+Every seed streams the same train rows; the test rows are split per task
+once, and the loaded test set is not kept past that split.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from .autodiff import NumericsError
 from .data import (
     Batch,
-    LabeledSample,
     SynthSpec,
     gen_synthetic,
     load_idx,
@@ -205,7 +208,7 @@ def evaluate_task(test: Batch, fe: FeatureExtractor, mixtures: dict[int, ClassMi
 # ------------------------------------------------------------- data prep
 
 
-def load_mnist_dir(data_dir: str) -> tuple[list[LabeledSample], list[LabeledSample]]:
+def load_mnist_dir(data_dir: str) -> tuple[Batch, Batch]:
     paths = {k: os.path.join(data_dir, v) for k, v in MNIST_FILES.items()}
     missing = [p for p in paths.values() if not os.path.exists(p)]
     if missing:
@@ -215,7 +218,7 @@ def load_mnist_dir(data_dir: str) -> tuple[list[LabeledSample], list[LabeledSamp
     return train, test
 
 
-def _load_dataset(cfg: RunConfig) -> tuple[list[LabeledSample], list[LabeledSample]]:
+def _load_dataset(cfg: RunConfig) -> tuple[Batch, Batch]:
     if cfg.dataset == "mnist":
         return load_mnist_dir(cfg.data_dir)
     return gen_synthetic(cfg.synth)
@@ -227,7 +230,7 @@ def _load_dataset(cfg: RunConfig) -> tuple[list[LabeledSample], list[LabeledSamp
 def _run_single_seed(
     cfg: RunConfig,
     seed: int,
-    train: list[LabeledSample],
+    train: Batch,
     test_batches: list[Batch],
     on_row=None,
 ) -> tuple[AccMatrix, FeatureExtractor, OtmmState, ClassPrototypes]:
@@ -236,7 +239,7 @@ def _run_single_seed(
     stream = make_split_stream(
         train, cfg.num_tasks, cfg.classes_per_task, cfg.batch_size, seed=seed
     )
-    input_dim = train[0].features.shape[0]
+    input_dim = train.features.shape[1]
 
     fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
     protos = ClassPrototypes(cfg.feat_dim)
@@ -378,7 +381,8 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
     try:
         # every seed streams the same data and is scored on the same split
         train, test = _load_dataset(cfg)
-        test_batches = split_tasks(Batch.of(test), cfg.num_tasks, cfg.classes_per_task)
+        test_batches = split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
+        del test  # split_tasks copied its rows; the seeds need only the split
         for seed in cfg.seeds:
             acc, fe, state, protos = _run_single_seed(
                 cfg, seed, train, test_batches, on_row=on_row

@@ -1,11 +1,15 @@
 """Bounded replay memory with centroid-aware insertion and balanced retrieval.
 
-The memory holds raw inputs (not embeddings — embeddings drift as the
+The memory holds raw input rows (not embeddings — embeddings drift as the
 extractor trains, so distances are recomputed with the current extractor at
 insertion time) under a shared budget of `capacity` samples. Each class seen
 so far owns an equal quota, floor(capacity / classes_seen); quotas shrink as
 classes accumulate, and over-quota classes are trimmed by uniform random
 eviction so the total never exceeds the budget after any public operation.
+
+Each class maps to a list of its stored rows. Every stored row is its own
+copy, so it never keeps the batch it came from alive. Insertions take
+single-class `Batch`es; a replay draw comes back as one `Batch` per class.
 
 Insertion is centroid-aware: for every mixture centroid of the incoming
 class, the closest batch samples in feature space are kept, which spreads
@@ -16,19 +20,22 @@ as an ablation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
-from .data import Batch, LabeledSample
+from .data import Batch
 
 
 class ReplayMemory:
-    """Class-keyed sample store under a shared capacity."""
+    """Class-keyed row store under a shared capacity."""
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be a positive sample count")
         self.capacity = capacity
-        self.store: dict[int, list[LabeledSample]] = {}
+        self.store: dict[int, list[np.ndarray]] = {}  # class -> 1-D rows
         self.classes_seen = 0
         self._rng = np.random.default_rng(seed)
 
@@ -51,11 +58,11 @@ class ReplayMemory:
 
     def _trim_to_quota(self) -> None:
         q = self.quota()
-        for c, samples in self.store.items():
-            excess = len(samples) - q
+        for c, rows in self.store.items():
+            excess = len(rows) - q
             if excess > 0:
-                keep = self._rng.choice(len(samples), size=q, replace=False)
-                self.store[c] = [samples[i] for i in sorted(keep)]
+                keep = self._rng.choice(len(rows), size=q, replace=False)
+                self.store[c] = [rows[i] for i in sorted(keep)]
 
 
 def _single_class_of(batch: Batch) -> int:
@@ -84,24 +91,20 @@ def _select_closest_per_centroid(
 
 def _store_selected(mem: ReplayMemory, batch: Batch, selected: list[int]) -> None:
     """Append what fits under quota; replace random old entries with the rest."""
-    c = _single_class_of(batch)
-    samples = mem.store[c]
-    quota = mem.quota()
-    fresh = [
-        LabeledSample(features=batch.features[i].copy(), label=c) for i in selected
-    ]
-    free = max(0, quota - len(samples))
-    samples.extend(fresh[:free])
+    rows = mem.store[_single_class_of(batch)]
+    fresh = [batch.features[i].copy() for i in selected]
+    free = max(0, mem.quota() - len(rows))
+    rows.extend(fresh[:free])
     leftover = fresh[free:]
     if not leftover:
         return
-    n_old = len(samples) - len(fresh[:free])  # entries that predate this call
+    n_old = len(rows) - len(fresh[:free])  # entries that predate this call
     n_replace = min(len(leftover), n_old)
     if n_replace == 0:
         return
     victims = mem._rng.choice(n_old, size=n_replace, replace=False)
     for v, new in zip(victims, leftover[:n_replace]):
-        samples[int(v)] = new
+        rows[int(v)] = new
 
 
 def insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
@@ -115,16 +118,15 @@ def insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
 def insert_with_centroids(
     mem: ReplayMemory,
     batch: Batch,
-    features: np.ndarray | None,
-    centroids: np.ndarray | None,
+    features: np.ndarray,
+    centroids: np.ndarray,
 ) -> ReplayMemory:
     """Store the batch samples closest to each class centroid.
 
     `features` are the current embeddings of the batch rows (same order);
-    distances are measured there. With no centroids yet (class's mixture not
-    created), falls back to storing the whole batch up to the free quota —
-    no replacement in that path. When the class store is full, each selected
-    sample replaces a uniformly chosen existing entry of the same class.
+    distances are measured there against the class's (k, dim) `centroids`.
+    When the class store is full, each selected sample replaces a uniformly
+    chosen existing entry of the same class.
 
     Each centroid selects `insertion_budget` rows.
     """
@@ -132,17 +134,8 @@ def insert_with_centroids(
         return mem
     c = _single_class_of(batch)
     mem.register_class(c)
-    quota = mem.quota()
-    if quota == 0:
+    if mem.quota() == 0:
         return mem
-
-    if centroids is None:
-        free = max(0, quota - len(mem.store[c]))
-        _store_selected(mem, batch, list(range(min(free, len(batch)))))
-        return mem
-
-    if features is None:
-        raise ValueError("centroid-aware insertion needs the batch features")
     if features.shape[0] != len(batch):
         raise ValueError("features must align with the batch rows")
     n_per_centroid = insertion_budget(mem, c, centroids.shape[0])
@@ -179,17 +172,20 @@ def sample_replay_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    flat: list[LabeledSample] = []
-    for c in sorted(mem.store):
-        flat.extend(mem.store[c])
-    if not flat:
+    classes = sorted(mem.store)
+    ends = list(accumulate(len(mem.store[c]) for c in classes))
+    total = ends[-1] if ends else 0
+    if total == 0:
         return {}
-    take = min(batch_size, len(flat))
-    picked = rng.choice(len(flat), size=take, replace=False)
+    picked = rng.choice(total, size=min(batch_size, total), replace=False)
+    # the picks index every stored row in ascending class order: pick i
+    # falls in the first class k whose cumulative count exceeds i
     by_class: dict[int, list[np.ndarray]] = {}
-    for i in sorted(int(j) for j in picked):
-        s = flat[i]
-        by_class.setdefault(s.label, []).append(s.features)
+    for i in sorted(picked.tolist()):
+        k = bisect_right(ends, i)
+        rows = mem.store[classes[k]]
+        start = ends[k] - len(rows)
+        by_class.setdefault(classes[k], []).append(rows[i - start])
     return {
         c: Batch(
             features=np.stack(rows),

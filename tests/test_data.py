@@ -20,21 +20,21 @@ class TestIdx:
             [[[0, 255], [128, 0]], [[255, 255], [0, 1]]], dtype=np.uint8
         )
         ip, lp = make_idx_pair(tmp_path, images, [3, 7])
-        samples = d.load_idx(ip, lp)
-        assert len(samples) == 2
-        np.testing.assert_allclose(samples[0].features, [0.0, 1.0, 128 / 255, 0.0])
-        np.testing.assert_allclose(samples[1].features, [1.0, 1.0, 0.0, 1 / 255])
-        assert [s.label for s in samples] == [3, 7]
+        batch = d.load_idx(ip, lp)
+        assert len(batch) == 2
+        np.testing.assert_allclose(batch.features[0], [0.0, 1.0, 128 / 255, 0.0])
+        np.testing.assert_allclose(batch.features[1], [1.0, 1.0, 0.0, 1 / 255])
+        assert batch.labels.dtype == np.int64
+        assert batch.labels.tolist() == [3, 7]
 
     def test_order_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(20, 3, 3), dtype=np.uint8)
         labels = rng.integers(0, 10, size=20, dtype=np.uint8)
         ip, lp = make_idx_pair(tmp_path, images, labels)
-        samples = d.load_idx(ip, lp)
-        for i, s in enumerate(samples):
-            np.testing.assert_array_equal(s.features * 255, images[i].reshape(-1))
-            assert s.label == labels[i]
+        batch = d.load_idx(ip, lp)
+        np.testing.assert_array_equal(batch.features * 255, images.reshape(20, -1))
+        np.testing.assert_array_equal(batch.labels, labels)
 
     def test_bad_image_magic(self, tmp_path):
         ip, lp = make_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
@@ -76,14 +76,13 @@ class TestIdx:
         assert all(issubclass(k, d.IdxError) for k in kinds)
 
 
-def toy_dataset(n_per_class=12, num_classes=4, dim=3, seed=0):
+def toy_dataset(n_per_class=12, num_classes=4, dim=3, seed=0) -> d.Batch:
+    """Uniform rows of every class, in a shuffled order."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(num_classes):
-        for _ in range(n_per_class):
-            samples.append(d.LabeledSample(rng.uniform(size=dim), c))
-    rng.shuffle(samples)
-    return samples
+    features = rng.uniform(size=(num_classes * n_per_class, dim))
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    order = rng.permutation(len(labels))
+    return d.Batch(features[order], labels[order])
 
 
 class TestSplitStream:
@@ -108,18 +107,18 @@ class TestSplitStream:
                 assert set(batch.labels).issubset(set(task.class_ids))
 
     def test_same_seed_identical(self):
-        samples = toy_dataset()
-        a = d.make_split_stream(samples, 2, 2, 5, seed=7)
-        b = d.make_split_stream(samples, 2, 2, 5, seed=7)
+        data = toy_dataset()
+        a = d.make_split_stream(data, 2, 2, 5, seed=7)
+        b = d.make_split_stream(data, 2, 2, 5, seed=7)
         for ta, tb in zip(a.tasks, b.tasks):
             for ba, bb in zip(ta.batches, tb.batches):
                 np.testing.assert_array_equal(ba.features, bb.features)
                 np.testing.assert_array_equal(ba.labels, bb.labels)
 
     def test_different_seed_differs(self):
-        samples = toy_dataset(n_per_class=50)
-        a = d.make_split_stream(samples, 2, 2, 25, seed=0)
-        b = d.make_split_stream(samples, 2, 2, 25, seed=1)
+        data = toy_dataset(n_per_class=50)
+        a = d.make_split_stream(data, 2, 2, 25, seed=0)
+        b = d.make_split_stream(data, 2, 2, 25, seed=1)
         assert any(
             not np.array_equal(ba.labels, bb.labels)
             for ta, tb in zip(a.tasks, b.tasks)
@@ -135,18 +134,18 @@ class TestSplitStream:
             d.make_split_stream(toy_dataset(), 2, 2, 0, seed=0)
 
     def test_held_out_split_follows_the_stream_blocks(self):
-        samples = toy_dataset(num_classes=6)
-        stream = d.make_split_stream(samples, 3, 2, 5, seed=0)
-        per_task = d.split_tasks(d.Batch.of(samples), 3, 2)
+        data = toy_dataset(num_classes=6)
+        stream = d.make_split_stream(data, 3, 2, 5, seed=0)
+        per_task = d.split_tasks(data, 3, 2)
         for task, held_out in zip(stream.tasks, per_task):
             assert set(held_out.labels.tolist()) == set(task.class_ids)
             # rows keep their input order
-            want = [s.features for s in samples if s.label in task.class_ids]
+            want = [s.features for s in data if s.label in task.class_ids]
             np.testing.assert_array_equal(held_out.features, np.stack(want))
 
     def test_held_out_split_rejects_a_task_without_rows(self):
         with pytest.raises(ValueError, match="task 3"):
-            d.split_tasks(d.Batch.of(toy_dataset(num_classes=4)), 3, 2)
+            d.split_tasks(toy_dataset(num_classes=4), 3, 2)
 
     @given(
         n_per_class=st.integers(1, 9),
@@ -156,8 +155,8 @@ class TestSplitStream:
     )
     @settings(max_examples=40, deadline=None)
     def test_single_pass_property(self, n_per_class, num_classes, batch_size, seed):
-        samples = toy_dataset(n_per_class, num_classes, seed=seed)
-        stream = d.make_split_stream(samples, num_classes // 2, 2, batch_size, seed)
+        data = toy_dataset(n_per_class, num_classes, seed=seed)
+        stream = d.make_split_stream(data, num_classes // 2, 2, batch_size, seed)
 
         seen = [
             (batch.features[i].tobytes(), int(batch.labels[i]))
@@ -165,7 +164,7 @@ class TestSplitStream:
             for batch in task.batches
             for i in range(len(batch))
         ]
-        want = sorted((s.features.tobytes(), s.label) for s in samples)
+        want = sorted((s.features.tobytes(), s.label) for s in data)
         assert sorted(seen) == want
 
         all_class_sets = [set(t.class_ids) for t in stream.tasks]
@@ -179,14 +178,14 @@ class TestSynthetic:
         spec = d.SynthSpec(1, 1, np.zeros((1, 1, 2)), 0.0, 50, seed=0)
         train, test = d.gen_synthetic(spec)
         assert len(train) == 40 and len(test) == 10
-        for s in train + test:
-            np.testing.assert_array_equal(s.features, [0.0, 0.0])
+        for part in (train, test):
+            np.testing.assert_array_equal(part.features, np.zeros((len(part), 2)))
 
     def test_two_mode_counts_binomially_plausible(self):
         centers = np.array([[[5.0, 0.0], [-5.0, 0.0]]])
         spec = d.SynthSpec(1, 2, centers, 0.1, 1000, seed=3)
         train, test = d.gen_synthetic(spec)
-        xs = np.stack([s.features for s in train + test])
+        xs = np.concatenate([train.features, test.features])
         near_pos = (xs[:, 0] > 0).sum()
         # binomial(1000, 1/2): 3 sigma ~ 47.4, so +-60 is a safe band
         assert abs(near_pos - 500) <= 60
@@ -197,9 +196,9 @@ class TestSynthetic:
         spec = d.SynthSpec(2, 4, centers, 0.3, 100, seed=11)
         a_train, a_test = d.gen_synthetic(spec)
         b_train, b_test = d.gen_synthetic(spec)
-        for sa, sb in zip(a_train + a_test, b_train + b_test):
-            np.testing.assert_array_equal(sa.features, sb.features)
-            assert sa.label == sb.label
+        for pa, pb in ((a_train, b_train), (a_test, b_test)):
+            np.testing.assert_array_equal(pa.features, pb.features)
+            np.testing.assert_array_equal(pa.labels, pb.labels)
 
     def test_duplicate_centers_rejected(self):
         centers = np.zeros((1, 2, 2))
@@ -233,3 +232,106 @@ class TestSynthetic:
         train, test = d.gen_synthetic(spec)
         assert {s.label for s in train} == {0, 1, 2}
         assert {s.label for s in test} == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the array data path against the per-sample one it replaced
+
+
+def naive_gen_synthetic(spec: d.SynthSpec):
+    """The per-sample generator: the same draws, one LabeledSample per row."""
+    rng = np.random.default_rng(spec.seed)
+    dim = spec.mode_centers.shape[2]
+    train, test = [], []
+    for c in range(spec.num_classes):
+        modes = rng.integers(0, spec.modes_per_class, size=spec.samples_per_class)
+        noise = rng.standard_normal((spec.samples_per_class, dim))
+        points = spec.mode_centers[c][modes] + spec.mode_scale * noise
+        n_train = int(round(0.8 * spec.samples_per_class))
+        for i in range(spec.samples_per_class):
+            (train if i < n_train else test).append(d.LabeledSample(points[i], c))
+    return train, test
+
+
+def naive_make_split_stream(samples, num_tasks, classes_per_task, batch_size, seed):
+    """The per-sample stream: (class ids, [(features, labels), ...]) per task,
+    each batch stacked from its samples."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for t in range(num_tasks):
+        class_ids = tuple(range(t * classes_per_task, (t + 1) * classes_per_task))
+        idx = [j for j, s in enumerate(samples) if s.label in class_ids]
+        idx = [idx[k] for k in rng.permutation(len(idx))]
+        batches = []
+        for i in range(0, len(idx), batch_size):
+            chunk = [samples[j] for j in idx[i : i + batch_size]]
+            batches.append((
+                np.stack([s.features for s in chunk]),
+                np.array([s.label for s in chunk], dtype=np.int64),
+            ))
+        tasks.append((class_ids, batches))
+    return tasks
+
+
+def assert_same_rows(batch: d.Batch, samples):
+    assert batch.features.dtype == np.float64 and batch.labels.dtype == np.int64
+    assert batch.features.tobytes() == np.stack([s.features for s in samples]).tobytes()
+    assert batch.labels.tolist() == [s.label for s in samples]
+
+
+SPECS = [
+    (1, 1, np.zeros((1, 1, 2)), 0.0, 3),
+    (2, 4, d.ring_centers(2, 4), 0.3, 37),
+    (4, 2, d.ring_centers(4, 2, radius=1.0, dim=5), 0.2, 50),
+    (6, 3, d.ring_centers(6, 3, dim=3), 0.05, 21),
+]
+
+
+class TestArrayDataPathOracle:
+    @pytest.mark.parametrize("spec_args", SPECS)
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_gen_synthetic_matches_the_per_sample_generator(self, spec_args, seed):
+        spec = d.SynthSpec(*spec_args, seed=seed)
+        out = d.gen_synthetic(spec)
+        assert isinstance(out, tuple) and len(out) == 2
+        for part, want in zip(out, naive_gen_synthetic(spec)):
+            assert_same_rows(part, want)
+
+    @pytest.mark.parametrize("spec_args, tasks, cpt", [
+        (SPECS[1], 1, 2), (SPECS[1], 2, 1), (SPECS[2], 2, 2), (SPECS[3], 3, 2),
+    ])
+    @pytest.mark.parametrize("batch_size", [1, 4, 10, 1000])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stream_matches_the_per_sample_stream(self, spec_args, tasks, cpt, batch_size, seed):
+        spec = d.SynthSpec(*spec_args, seed=seed + 1)
+        train, _ = d.gen_synthetic(spec)
+        naive_train, _ = naive_gen_synthetic(spec)
+        got = d.make_split_stream(train, tasks, cpt, batch_size, seed)
+        want = naive_make_split_stream(naive_train, tasks, cpt, batch_size, seed)
+        assert len(got.tasks) == len(want)
+        for task, (class_ids, batches) in zip(got.tasks, want):
+            assert task.class_ids == class_ids
+            assert len(task.batches) == len(batches)
+            for batch, (features, labels) in zip(task.batches, batches):
+                assert batch.features.tobytes() == features.tobytes()
+                assert batch.labels.tobytes() == labels.tobytes()
+
+    def test_stream_of_shuffled_rows_matches_the_per_sample_stream(self):
+        data = toy_dataset(n_per_class=9, num_classes=6, seed=3)
+        got = d.make_split_stream(data, 3, 2, 4, seed=11)
+        want = naive_make_split_stream(list(data), 3, 2, 4, seed=11)
+        for task, (_, batches) in zip(got.tasks, want):
+            for batch, (features, labels) in zip(task.batches, batches):
+                assert batch.features.tobytes() == features.tobytes()
+                assert batch.labels.tobytes() == labels.tobytes()
+
+    def test_iteration_yields_row_views_with_int_labels_in_order(self):
+        data = toy_dataset(n_per_class=3, num_classes=2)
+        rows = list(data)
+        assert len(rows) == len(data)
+        for i, row in enumerate(rows):
+            assert isinstance(row, d.LabeledSample)
+            assert row.features.ndim == 1
+            assert np.shares_memory(row.features, data.features)
+            assert row.features.tobytes() == data.features[i].tobytes()
+            assert type(row.label) is int and row.label == data.labels[i]

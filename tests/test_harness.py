@@ -446,6 +446,32 @@ def test_two_seed_run_loads_and_splits_once(monkeypatch):
         assert both[seed].values.tobytes() == alone[seed].values.tobytes()
 
 
+def test_loaded_test_set_is_released_before_the_seeds_run(monkeypatch):
+    import gc
+    import weakref
+
+    import otcl.harness as hz
+
+    loaded, alive = [], []
+    real_load, real_run = hz._load_dataset, hz._run_single_seed
+
+    def load(cfg):
+        train, test = real_load(cfg)
+        loaded.append(weakref.ref(test.features))
+        return train, test
+
+    def run(*args, **kwargs):
+        gc.collect()
+        alive.append(loaded[0]() is not None)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "_load_dataset", load)
+    monkeypatch.setattr(hz, "_run_single_seed", run)
+    run_experiment(tiny_run_config(seeds=(0, 1)))
+    # only the per-task split of the held-out rows lives on
+    assert alive == [False, False]
+
+
 def test_partial_metrics_flushed_on_failure(tmp_path, monkeypatch):
     import otcl.harness as hz
 
