@@ -7,12 +7,15 @@ per task, fixed ascending order, shuffled batches within each task).
 
 Data travels as `Batch`: one (n, dim) feature array plus its int64 labels,
 from the readers through the stream to the replay memory. Iterating a
-`Batch` yields its rows as `LabeledSample`s.
+`Batch` yields its rows as `LabeledSample`s. IDX pixels stay uint8 as read
+until `as_float` scales them, as a stream batch is gathered or a chunk
+enters the model; a stream task holds row indices, not rows.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,8 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class Batch:
-    """Labeled rows. Pixel data arrives scaled to [0,1]; synthetic features
+    """Labeled rows. uint8 features are IDX pixels whose value is v/255
+    (`as_float` scales them); float features, such as the synthetic ones,
     live on whatever scale their mode centers dictate."""
 
     features: np.ndarray  # (n, dim)
@@ -62,10 +66,38 @@ class Batch:
             yield LabeledSample(row, label)
 
 
+def as_float(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """`x` as `dtype` features: uint8 pixels v become v/255, computed in
+    `dtype`; any other array is cast, without a copy if it already is one."""
+    if x.dtype == np.uint8:
+        out = x.astype(dtype)
+        out /= np.dtype(dtype).type(255)
+        return out
+    return x.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class TaskBatches(Sequence):
+    """A task's stream batches: consecutive `batch_size` chunks of `order`,
+    each gathered from `data` as a float64 `Batch` when it is read."""
+
+    data: Batch
+    order: np.ndarray
+    batch_size: int
+
+    def __len__(self) -> int:
+        return len(range(0, len(self.order), self.batch_size))
+
+    def __getitem__(self, i: int) -> Batch:
+        start = range(0, len(self.order), self.batch_size)[i]
+        idx = self.order[start : start + self.batch_size]
+        return Batch(as_float(self.data.features[idx]), self.data.labels[idx])
+
+
 @dataclass(frozen=True)
 class Task:
     class_ids: tuple[int, ...]
-    batches: tuple[Batch, ...]
+    batches: TaskBatches
 
 
 @dataclass(frozen=True)
@@ -87,7 +119,9 @@ def _read_u32(f, path) -> int:
 
 
 def load_idx(images_path, labels_path) -> Batch:
-    """Read an IDX image/label file pair into one Batch with [0,1] features.
+    """Read an IDX image/label file pair into one Batch: the uint8 pixels as
+    read (a read-only view of the file bytes, one row per image) and int64
+    labels.
 
     Order is preserved. Raises BadMagicError / CountMismatchError /
     TruncatedFileError so callers can tell a wrong file from a damaged one.
@@ -120,9 +154,7 @@ def load_idx(images_path, labels_path) -> Batch:
             raise TruncatedFileError(
                 f"{labels_path}: expected {n_labels} label bytes, got {len(raw)}"
             )
-    scaled = pixels.astype(np.float64)
-    scaled /= 255.0
-    return Batch(scaled, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
+    return Batch(pixels, np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
@@ -184,7 +216,8 @@ def make_split_stream(
 
     Each task's rows (all classes of its block mixed) are shuffled once
     under the seed and chunked; every row lands in exactly one batch, so
-    a consumer that walks the stream sees each example a single time.
+    a consumer that walks the stream sees each example a single time. The
+    stream keeps each task's permuted indices into `data`, not its rows.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -200,14 +233,8 @@ def make_split_stream(
     rng = np.random.default_rng(seed)
     tasks = []
     for class_ids, idx in task_blocks(data.labels, num_tasks, classes_per_task):
-        idx = idx[rng.permutation(len(idx))]
-        # one copy per task, in stream order, with every batch a view of it
-        rows = Batch(data.features[idx], data.labels[idx])
-        batches = tuple(
-            Batch(rows.features[i : i + batch_size], rows.labels[i : i + batch_size])
-            for i in range(0, len(idx), batch_size)
-        )
-        tasks.append(Task(class_ids, batches))
+        order = idx[rng.permutation(len(idx))]
+        tasks.append(Task(class_ids, TaskBatches(data, order, batch_size)))
     return TaskStream(tuple(tasks))
 
 

@@ -12,8 +12,10 @@ shuffle, the replay draws/evictions, and the mixture noise all derive from
 it through named seed sequences.
 
 The data is loaded once per experiment as a (train, test) pair of `Batch`es.
-Every seed streams the same train rows; the test rows are split per task
-once, and the loaded test set is not kept past that split.
+IDX pixels stay uint8 until a row enters the model: each seed's stream keeps
+index arrays into the same train rows and gathers each batch as float64, and
+the test rows are split per task once, as uint8, and scaled chunk by chunk in
+the evaluation forward. The loaded test set is not kept past that split.
 """
 
 from __future__ import annotations
@@ -179,10 +181,11 @@ def _predict_rows(
     """Nearest-centroid labels for the rows of `x`: the one evaluation path.
 
     The forward runs in float32 (`features_np`), from the float64 weights
-    that training keeps. The squared distance |z - mu|^2 is ranked as
-    |mu|^2 - 2 z.mu in float64, leaving out |z|^2, which is the same for
-    every centroid of a row. Ties go to the smallest class id: the table is
-    stacked in ascending class order and argmin keeps the first minimum.
+    that training keeps; uint8 pixel rows are scaled there, chunk by chunk.
+    The squared distance |z - mu|^2 is ranked as |mu|^2 - 2 z.mu in
+    float64, leaving out |z|^2, which is the same for every centroid of a
+    row. Ties go to the smallest class id: the table is stacked in
+    ascending class order and argmin keeps the first minimum.
     """
     table, labels = _centroid_table(mixtures)
     feats = fe.features_np(x, dtype=np.float32).astype(np.float64)

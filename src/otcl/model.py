@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
+from .data import as_float
 
 HIDDEN_WIDTH = 400
 DEFAULT_FEAT_DIM = 128
@@ -124,13 +125,14 @@ class FeatureExtractor(MLP):
         The default float64 is bit for bit `forward_np`, the training
         forward. Evaluation asks for float32: the weights are copied to
         float32 once per call and the rows chunk by chunk, so no float32
-        copy of `x` is kept.
+        copy of `x` is kept. uint8 rows are IDX pixels: each chunk is
+        scaled to v/255 in `dtype` as it is cast (`data.as_float`).
         """
         x = np.asarray(x)
         weights = self.weights(dtype)
         # an empty batch still makes one (empty) chunk: same input check
         outs = [
-            self.forward_np(x[i : i + chunk].astype(dtype, copy=False), weights)[0]
+            self.forward_np(as_float(x[i : i + chunk], dtype), weights)[0]
             for i in range(0, max(x.shape[0], 1), chunk)
         ]
         return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)

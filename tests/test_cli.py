@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from otcl.cli import RUN_FLAGS, build_parser, main
-from otcl.data import write_idx
-from otcl.harness import MNIST_FILES
+from otcl.data import load_idx, write_idx
+from otcl.harness import MNIST_FILES, load_model
 
 
 @pytest.fixture
@@ -364,6 +364,24 @@ def test_eval_reads_only_the_idx_test_pair(idx_run, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(test_only)]) == 0
     assert capsys.readouterr().out == full
     assert full.splitlines()[-1].startswith("average: ")
+
+
+def test_export_embeddings_of_idx_pixels_are_the_scaled_rows_features(idx_run, tmp_path):
+    data_dir, ckpt = idx_run
+    out_csv = tmp_path / "emb.csv"
+    assert main(["export-embeddings", "--checkpoint", str(ckpt), "--data-dir", str(data_dir),
+                 "--out", str(out_csv)]) == 0
+
+    test = load_idx(data_dir / MNIST_FILES["test_images"], data_dir / MNIST_FILES["test_labels"])
+    scaled = test.features.astype(np.float64)
+    scaled /= 255.0
+    fe = load_model(str(ckpt))[0]
+    want = [[f"feat_{i}" for i in range(4)] + ["label"]] + [
+        [f"{v:.8g}" for v in row] + [str(lab)]
+        for row, lab in zip(fe.features_np(scaled), test.labels.tolist())
+    ]
+    with open(out_csv, newline="") as fh:
+        assert list(csv.reader(fh)) == want
 
 
 @pytest.mark.parametrize("missing", ["test_images", "test_labels"])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,12 @@ class TestIdx:
         ip, lp = make_idx_pair(tmp_path, images, [3, 7])
         batch = d.load_idx(ip, lp)
         assert len(batch) == 2
-        np.testing.assert_allclose(batch.features[0], [0.0, 1.0, 128 / 255, 0.0])
-        np.testing.assert_allclose(batch.features[1], [1.0, 1.0, 0.0, 1 / 255])
+        assert batch.features.dtype == np.uint8
+        assert batch.features.tolist() == [[0, 255, 128, 0], [255, 255, 0, 1]]
+        # the pixels are v/255 once they are read as features
+        assert d.as_float(batch.features).tolist() == [
+            [0.0, 1.0, 128 / 255, 0.0], [1.0, 1.0, 0.0, 1 / 255],
+        ]
         assert batch.labels.dtype == np.int64
         assert batch.labels.tolist() == [3, 7]
 
@@ -33,7 +38,9 @@ class TestIdx:
         labels = rng.integers(0, 10, size=20, dtype=np.uint8)
         ip, lp = make_idx_pair(tmp_path, images, labels)
         batch = d.load_idx(ip, lp)
-        np.testing.assert_array_equal(batch.features * 255, images.reshape(20, -1))
+        assert batch.features.dtype == np.uint8
+        assert batch.features.tobytes() == images.tobytes()
+        assert batch.features.shape == (20, 9)
         np.testing.assert_array_equal(batch.labels, labels)
 
     def test_bad_image_magic(self, tmp_path):
@@ -74,6 +81,37 @@ class TestIdx:
         kinds = {d.BadMagicError, d.CountMismatchError, d.TruncatedFileError}
         assert len(kinds) == 3
         assert all(issubclass(k, d.IdxError) for k in kinds)
+
+
+def old_load_scaling(pixels: np.ndarray) -> np.ndarray:
+    """The float64 features the IDX reader returned before pixels stayed uint8."""
+    scaled = pixels.astype(np.float64)
+    scaled /= 255.0
+    return scaled
+
+
+ALL_PIXELS = np.arange(256, dtype=np.uint8)
+
+
+class TestAsFloat:
+    def test_float64_is_the_old_load_scaling_bit_for_bit(self):
+        got = d.as_float(ALL_PIXELS)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), old_load_scaling(ALL_PIXELS).view(np.uint64))
+
+    def test_float32_is_the_old_load_scaling_cast_bit_for_bit(self):
+        # float32(v) / float32(255) rounds to the same float32 as v / 255
+        # computed in float64, for every pixel value
+        got = d.as_float(ALL_PIXELS, np.float32)
+        want = old_load_scaling(ALL_PIXELS).astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_other_dtypes_are_cast_not_scaled(self):
+        x = np.random.default_rng(0).uniform(size=(3, 4))
+        assert d.as_float(x) is x
+        assert d.as_float(x, np.float32).tobytes() == x.astype(np.float32).tobytes()
+        assert d.as_float(np.array([0, 255, 256])).tolist() == [0.0, 255.0, 256.0]
 
 
 def toy_dataset(n_per_class=12, num_classes=4, dim=3, seed=0) -> d.Batch:
@@ -124,6 +162,19 @@ class TestSplitStream:
             for ta, tb in zip(a.tasks, b.tasks)
             for ba, bb in zip(ta.batches, tb.batches)
         )
+
+    def test_task_batches_index_like_a_sequence(self):
+        task = d.make_split_stream(toy_dataset(n_per_class=13), 2, 2, 10, seed=4).tasks[0]
+        assert len(task.batches) == 3
+        listed = list(task.batches)
+        assert len(listed) == 3
+        for i, batch in enumerate(listed):
+            for same in (task.batches[i], task.batches[i - 3]):
+                assert same.features.tobytes() == batch.features.tobytes()
+                assert same.labels.tobytes() == batch.labels.tobytes()
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                task.batches[bad]
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="classes"):
@@ -273,6 +324,33 @@ def naive_make_split_stream(samples, num_tasks, classes_per_task, batch_size, se
     return tasks
 
 
+def copied_block_make_split_stream(data: d.Batch, num_tasks, classes_per_task, batch_size, seed):
+    """The copied-block stream: each task's permuted rows fancy-indexed into
+    one float block, every batch a view of it; (class ids, [(features,
+    labels), ...]) per task."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for class_ids, idx in d.task_blocks(data.labels, num_tasks, classes_per_task):
+        idx = idx[rng.permutation(len(idx))]
+        features, labels = data.features[idx], data.labels[idx]
+        tasks.append((class_ids, [
+            (features[i : i + batch_size], labels[i : i + batch_size])
+            for i in range(0, len(idx), batch_size)
+        ]))
+    return tasks
+
+
+def assert_same_stream(got: d.TaskStream, want):
+    assert len(got.tasks) == len(want)
+    for task, (class_ids, batches) in zip(got.tasks, want):
+        assert task.class_ids == class_ids
+        assert len(task.batches) == len(batches)
+        for batch, (features, labels) in zip(task.batches, batches):
+            assert batch.features.dtype == np.float64 and batch.labels.dtype == np.int64
+            assert batch.features.tobytes() == features.tobytes()
+            assert batch.labels.tobytes() == labels.tobytes()
+
+
 def assert_same_rows(batch: d.Batch, samples):
     assert batch.features.dtype == np.float64 and batch.labels.dtype == np.int64
     assert batch.features.tobytes() == np.stack([s.features for s in samples]).tobytes()
@@ -307,23 +385,50 @@ class TestArrayDataPathOracle:
         train, _ = d.gen_synthetic(spec)
         naive_train, _ = naive_gen_synthetic(spec)
         got = d.make_split_stream(train, tasks, cpt, batch_size, seed)
-        want = naive_make_split_stream(naive_train, tasks, cpt, batch_size, seed)
-        assert len(got.tasks) == len(want)
-        for task, (class_ids, batches) in zip(got.tasks, want):
-            assert task.class_ids == class_ids
-            assert len(task.batches) == len(batches)
-            for batch, (features, labels) in zip(task.batches, batches):
-                assert batch.features.tobytes() == features.tobytes()
-                assert batch.labels.tobytes() == labels.tobytes()
+        assert_same_stream(got, naive_make_split_stream(naive_train, tasks, cpt, batch_size, seed))
+        assert_same_stream(got, copied_block_make_split_stream(train, tasks, cpt, batch_size, seed))
 
     def test_stream_of_shuffled_rows_matches_the_per_sample_stream(self):
         data = toy_dataset(n_per_class=9, num_classes=6, seed=3)
         got = d.make_split_stream(data, 3, 2, 4, seed=11)
-        want = naive_make_split_stream(list(data), 3, 2, 4, seed=11)
-        for task, (_, batches) in zip(got.tasks, want):
-            for batch, (features, labels) in zip(task.batches, batches):
-                assert batch.features.tobytes() == features.tobytes()
-                assert batch.labels.tobytes() == labels.tobytes()
+        assert_same_stream(got, naive_make_split_stream(list(data), 3, 2, 4, seed=11))
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 10, 1000])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stream_of_idx_pixels_matches_the_copied_float_block_stream(
+        self, tmp_path, batch_size, seed
+    ):
+        # the lazy stream over the loaded uint8 pixels against the stream
+        # that copied each task's rows out of the float64 scaled pixels
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, 256, size=(90, 4, 5), dtype=np.uint8)
+        labels = rng.permutation(np.repeat(np.arange(6), 15))
+        pixels = d.load_idx(*make_idx_pair(tmp_path, images, labels))
+        assert pixels.features.dtype == np.uint8
+        scaled = d.Batch(old_load_scaling(pixels.features), pixels.labels)
+        got = d.make_split_stream(pixels, 3, 2, batch_size, seed)
+        assert_same_stream(got, copied_block_make_split_stream(scaled, 3, 2, batch_size, seed))
+
+    def test_stream_over_pixels_holds_indices_not_rows(self):
+        # 20k MNIST-shaped rows: the copied float64 blocks would be 125 MB
+        rng = np.random.default_rng(0)
+        pixels = rng.integers(0, 256, size=(20_000, 784), dtype=np.uint8)
+        data = d.Batch(pixels, rng.permutation(np.repeat(np.arange(10), 2_000)))
+        # numpy imports modules on the first call; only the stream is measured
+        d.make_split_stream(toy_dataset(), 2, 2, 10, seed=0)
+        tracemalloc.start()
+        try:
+            stream = d.make_split_stream(data, 5, 2, 10, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sum(len(t.batches) for t in stream.tasks) == 2_000
+        (_, idx), *_ = d.task_blocks(data.labels, 5, 2)
+        first = idx[np.random.default_rng(0).permutation(len(idx))][:10]
+        assert stream.tasks[0].batches[0].features.tobytes() == (
+            old_load_scaling(pixels[first]).tobytes()
+        )
 
     def test_iteration_yields_row_views_with_int_labels_in_order(self):
         data = toy_dataset(n_per_class=3, num_classes=2)

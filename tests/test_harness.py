@@ -162,6 +162,31 @@ def test_evaluate_task_tie_breaks_to_smaller_class_id():
         assert evaluate_task(batch, fe, mixtures) == 1.0
 
 
+def test_evaluate_task_on_pixels_matches_the_prescaled_rows():
+    # IDX pixels reach evaluation as uint8 and are scaled chunk by chunk in
+    # the float32 forward; the loader used to hand over float64 v/255 rows
+    fe = FeatureExtractor(784, 16, seed=0, hidden=32)
+    rng = default_rng(7)
+    pixels = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
+    scaled = pixels.astype(np.float64)
+    scaled /= 255.0
+    for chunk in (64, 4096):
+        z_pixels = fe.features_np(pixels, chunk=chunk, dtype=np.float32)
+        assert z_pixels.tobytes() == fe.features_np(scaled, chunk=chunk, dtype=np.float32).tobytes()
+    assert fe.features_np(pixels).tobytes() == fe.features_np(scaled).tobytes()
+
+    anchors = fe.features_np(scaled[:4])
+    mixtures = {c: mixture_at(anchors[c : c + 1]) for c in range(4)}
+    preds = [predict(x, fe, mixtures) for x in pixels]
+    assert preds == [predict(x, fe, mixtures) for x in scaled]
+    assert len(set(preds)) == 4
+    labels = rng.integers(0, 4, size=len(pixels))
+    acc = evaluate_task(Batch(pixels, labels), fe, mixtures)
+    assert 0.0 < acc < 1.0
+    assert acc == evaluate_task(Batch(scaled, labels), fe, mixtures)
+    assert acc == float(np.mean(np.array(preds) == labels))
+
+
 def test_float32_evaluation_agrees_with_float64_outside_near_ties():
     """Evaluation runs the forward in float32; away from a tie it must pick
     the centroid the float64 forward and a brute-force argmin pick.
