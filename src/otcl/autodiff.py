@@ -13,7 +13,9 @@ preservation step (`losses`, `model`) compute their gradients in closed form
 on numpy arrays, and the graphs of their losses built here are the oracles
 the tests hold them to. `ParamSet` holds every trainable array with its
 gradient buffer and takes the checked SGD step, at one rate or at a rate
-per parameter; `ParamSet.union` steps several sets as one.
+per parameter; `ParamSet.union` steps several sets as one. The step
+computes and checks each new value in the gradient buffer, one cache-sized
+block at a time, then swaps the two buffers and zeroes the new gradient.
 """
 
 from __future__ import annotations
@@ -325,6 +327,30 @@ def backward(loss: Tensor) -> None:
 # parameters
 
 
+# Elements per block of `ParamSet.step` (512 KB of float64, inside L2): on a
+# 2-vCPU Xeon a paper-shape step took 1.61 ms whole-array and 1.16/1.09/1.10/
+# 1.19 ms in blocks of 16K/32K/64K/128K (medians of 60 steps).
+_STEP_BLOCK = 1 << 16
+
+
+def _new_value_is_finite(data: np.ndarray, grad: np.ndarray, rate) -> bool:
+    """Overwrite `grad` with data + (-rate) * grad, block by block, checking
+    each block while it is in cache; False at the first non-finite block."""
+    if grad.size <= _STEP_BLOCK:
+        grad *= -rate
+        grad += data
+        return bool(np.isfinite(grad).all())
+    # both buffers are C-contiguous (ParamSet.add, zeros_like): flat views
+    new, old = grad.reshape(-1), data.reshape(-1)
+    for start in range(0, new.size, _STEP_BLOCK):
+        block = new[start : start + _STEP_BLOCK]
+        block *= -rate
+        block += old[start : start + _STEP_BLOCK]
+        if not np.isfinite(block).all():
+            return False
+    return True
+
+
 class ParamSet:
     """Named trainable tensors, each paired with a same-shape gradient slot."""
 
@@ -381,9 +407,12 @@ class ParamSet:
         `lr` is one positive rate for every parameter, or a {name: rate} map
         with a non-negative rate for each (0 leaves that parameter in place).
         Each new value is computed in its gradient buffer (p + (-lr) * grad,
-        bit for bit p - lr * grad) and every one is checked before any is
-        written: a non-finite step leaves all parameters unchanged and names
-        the first non-finite one in insertion order.
+        bit for bit p - lr * grad) and checked block by block in insertion
+        order; only when every one is finite does each `Tensor` swap its data
+        and gradient buffers (as `mixture._Stack.advance` swaps its stacks),
+        so the arrays are replaced, not copied into. A non-finite step leaves
+        all parameters unchanged and names the first non-finite one. Either
+        way every gradient is zeroed.
         """
         if not isinstance(lr, dict):
             if lr <= 0:
@@ -394,17 +423,14 @@ class ParamSet:
         elif any(r < 0 for r in lr.values()):
             raise ValueError("learning rates must be non-negative")
         for name, t in self._params.items():
-            t.grad *= -lr[name]
-            t.grad += t.data
-        for name, t in self._params.items():
-            if not np.isfinite(t.grad).all():
+            if not _new_value_is_finite(t.data, t.grad, lr[name]):
                 self.zero_grad()
                 raise NumericsError(
                     f"non-finite values in parameter {name!r} after step", param=name
                 )
         for t in self._params.values():
-            np.copyto(t.data, t.grad)
-        self.zero_grad()
+            t.data, t.grad = t.grad, t.data
+            t.grad.fill(0.0)
 
 
 def finite_diff_check(loss_fn, params: ParamSet, h: float = 1e-5, tol: float = 1e-4) -> float:

@@ -294,7 +294,7 @@ class _Stack:
     def advance(self, lr: float, ids: list[int], phase: str) -> None:
         """value + lr * grad for every class, or for none: the new values are
         computed in the gradient buffer, which becomes the value buffer only
-        if every class's are finite."""
+        if every class's are finite (`ParamSet.step` swaps the same way)."""
         new = self.grad
         new *= lr
         new += self.value

@@ -259,6 +259,98 @@ class TestSgdStep:
             ParamSet.union(first, first)
 
 
+def long_params(rng):
+    """`w0` three and a bit blocks of `step` long, `b0` small, `w1` exactly
+    one block and `w2` two blocks, each with a random value and gradient."""
+    block = ad._STEP_BLOCK
+    ps = ParamSet()
+    for name, size in (("w0", 3 * block + 123), ("b0", 7), ("w1", block), ("w2", 2 * block)):
+        ps.add(name, rng.normal(size=(size, 1))).grad[...] = rng.normal(size=(size, 1))
+    return ps
+
+
+class TestBlockwiseStep:
+    """`ParamSet.step` computes and checks parameters longer than one block
+    block by block; none of that may show in the values it writes."""
+
+    def test_long_parameters_match_the_whole_array_update_bytewise(self):
+        ps = long_params(np.random.default_rng(21))
+        rates = {"w0": 0.037, "b0": 0.5, "w1": 0.0, "w2": 1e-3}
+        want = {name: t.data + (-rates[name]) * t.grad for name, t in ps.items()}
+        ps.step(rates)
+        for name, t in ps.items():
+            assert t.data.tobytes() == want[name].tobytes(), name
+            assert not t.grad.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("in_w0", [True, False])
+    def test_nonfinite_in_a_late_block_names_the_first_and_writes_nothing(self, bad, in_w0):
+        # a bad value in the last block of w0 and another in w2: w0 is
+        # named; with w0 finite, w2 is, and w0's passed check writes nothing
+        ps = long_params(np.random.default_rng(22))
+        if in_w0:
+            ps["w0"].grad[-1, 0] = bad
+        ps["w2"].grad[ad._STEP_BLOCK + 5, 0] = bad
+        before = {name: t.data.tobytes() for name, t in ps.items()}
+        with pytest.raises(ad.NumericsError) as info:
+            ps.step(0.1)
+        assert info.value.param == ("w0" if in_w0 else "w2")
+        for name, t in ps.items():
+            assert t.data.tobytes() == before[name], name
+            assert not t.grad.any(), name
+
+    def test_every_reader_sees_the_stepped_values(self, tmp_path):
+        from otcl.model import (
+            ClassPrototypes, FeatureExtractor, load_checkpoint, mlp_forward, restore_params,
+            save_checkpoint,
+        )
+
+        rng = np.random.default_rng(23)
+        # w0 (300, 256) spans two blocks, w1 (256, 256) is exactly one
+        fe = FeatureExtractor(300, feat_dim=4, seed=23, hidden=256)
+        protos = ClassPrototypes(4)
+        protos.init_new_classes([0, 1], seed=23)
+        both = ParamSet.union(protos.params, fe.params)
+        x = rng.random((7, 300))
+
+        def fill_grads(ps):
+            for t in ps.tensors():
+                t.grad[...] = rng.normal(size=t.data.shape)
+            return {name: t.data + (-0.01) * t.grad for name, t in ps.items()}
+
+        def assert_read(want):
+            layers = fe.weights()
+            for i, (w, b) in enumerate(layers):
+                for arr, name in ((w, f"w{i}"), (b, f"b{i}")):
+                    assert arr.tobytes() == want[name].tobytes(), name
+                    assert both[name] is fe.params[name]
+                    assert np.shares_memory(arr, fe.params[name].data), name
+            for name, t in both.items():
+                assert t.data.tobytes() == want[name].tobytes(), name
+                assert not t.grad.any(), name
+                # nothing reads a gradient buffer as a value
+                assert not any(np.shares_memory(t.grad, w) for layer in layers for w in layer)
+            want_layers = [(want[f"w{i}"], want[f"b{i}"]) for i in range(3)]
+            assert fe.features_np(x).tobytes() == mlp_forward(want_layers, x)[0].tobytes()
+            path = tmp_path / "ckpt.npz"
+            save_checkpoint(path, {"fe": fe.params, "protos": protos.params})
+            groups, _ = load_checkpoint(path)
+            for name, arr in (groups["fe"] | groups["protos"]).items():
+                assert arr.tobytes() == want[name].tobytes(), name
+
+        want = fill_grads(both)
+        both.step(0.01)
+        assert_read(want)
+
+        # restoring writes into the live buffers, which the next step reads
+        stored = {name: rng.normal(size=t.data.shape) for name, t in fe.params.items()}
+        restore_params(fe.params, stored)
+        assert_read(want | stored)
+        want |= fill_grads(fe.params)  # the prototypes stay as they are
+        fe.params.step(0.01)
+        assert_read(want)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_error_tiny(self):
         ps = ParamSet()

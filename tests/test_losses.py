@@ -641,3 +641,43 @@ def test_skipping_constant_operands_leaves_every_grad_bitwise_unchanged(monkeypa
     monkeypatch.setattr(ad, "matmul", matmul_all_cotangents)
     monkeypatch.setattr(ad, "pairwise_sqdist", pairwise_sqdist_all_cotangents)
     assert grads() == skipped
+
+
+# ------------------------------------------------- every write is a step
+
+
+@pytest.mark.parametrize("clip_alpha", [0.0, 0.5])
+def test_every_preservation_write_happens_inside_param_set_step(monkeypatch, clip_alpha):
+    """Each extractor or prototype value that a preservation pass changes is
+    changed inside a `ParamSet.step`: the parameters read on entry to each
+    step as they did on exit from the one before (or before the pass), and
+    after the pass as on exit from its last step."""
+    input_dim, hidden, feat_dim = SMALL
+    (fe, protos), _ = twin_models(input_dim, feat_dim, hidden)
+    cfg = L.PreservationConfig(
+        lr_theta=0.01, lr_proto=0.05, clip_alpha=clip_alpha, steps_l1=2, steps_l2=2
+    )
+    step, calls = ad.ParamSet.step, []
+
+    def recording_step(params, lr):
+        entry = param_bytes(fe, protos)
+        try:
+            step(params, lr)
+        finally:
+            calls.append((entry, param_bytes(fe, protos)))
+
+    monkeypatch.setattr(ad.ParamSet, "step", recording_step)
+    moved = set()
+    for s, (batch, replay) in enumerate(class_stream(input_dim, 12, seed=5)):
+        new_ids = sorted(set(batch.labels.tolist()) - set(protos.known()))
+        if new_ids:
+            protos.init_new_classes(new_ids, seed=s)
+        calls.clear()
+        between = [param_bytes(fe, protos)]
+        L.dynamic_preservation_step(batch, replay, fe, protos, cfg)
+        assert len(calls) == cfg.steps_l1 + cfg.steps_l2
+        for (entry, exit_), before in zip(calls, between + [exit_ for _, exit_ in calls]):
+            assert entry == before, f"batch {s}: a value changed outside ParamSet.step"
+        assert param_bytes(fe, protos) == calls[-1][1], f"batch {s}: changed after the last step"
+        moved |= {n for entry, exit_ in calls for n in entry if entry[n] != exit_[n]}
+    assert moved == set(fe.params.names()) | set(protos.params.names())
