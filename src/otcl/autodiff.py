@@ -83,9 +83,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 # ---------------------------------------------------------------------------
 # primitives
@@ -369,9 +366,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __iter__(self):
         return iter(self._params)

@@ -1,15 +1,16 @@
 """Experiment orchestration for the online class-incremental engine.
 
-One pass over a task stream. Per batch: draw a replay batch, run the
-representation-preservation updates, refit the per-class mixtures on the
-detached features of the joint batch, then refresh the replay memory with
-the batch samples closest to each mixture centroid. At every task boundary
-the memory quotas are rebalanced and every task seen so far is evaluated by
-nearest-centroid classification, filling one row of the accuracy matrix.
+One `Learner` per seed makes one pass over the task stream. Per batch
+(`observe`): draw a replay batch, run the representation-preservation
+updates, refit the per-class mixtures on the detached features of the joint
+batch, then refresh the replay memory with the batch samples closest to each
+mixture centroid. At every task boundary the memory quotas are rebalanced
+(`end_task`) and every task seen so far is evaluated by nearest-centroid
+classification (`evaluate`), filling one row of the accuracy matrix.
 
-Everything is deterministic given the run seed: the model init, the stream
-shuffle, the replay draws/evictions, and the mixture noise all derive from
-it through named seed sequences.
+Everything is deterministic given the run seed, for a given numpy build and
+BLAS thread count: model init, stream shuffle, replay draws/evictions and
+mixture noise all derive from it through named seed sequences.
 
 The data is loaded once per experiment as a (train, test) pair of `Batch`es.
 IDX pixels stay uint8 until a row enters the model: each seed's stream keeps
@@ -230,71 +231,102 @@ def _load_dataset(cfg: RunConfig) -> tuple[Batch, Batch]:
 # ---------------------------------------------------------- training loop
 
 
+class Learner:
+    """One seed's learner: extractor, prototypes, transport state, replay
+    memory, and the replay/transport/prototype generators, seeded (seed, 1..3).
+
+    `dynamic_preservation_step`, `otmm_step` and `evaluate_task` are called
+    through this module's globals, looked up at call time, with positional
+    arguments, so that a probe which rebinds those names sees every call."""
+
+    def __init__(self, cfg: RunConfig, seed: int, input_dim: int):
+        self.cfg, self.seed = cfg, seed
+        self.fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
+        self.protos = ClassPrototypes(cfg.feat_dim)
+        self.state = OtmmState(cfg.n_centroids, cfg.feat_dim, seed=seed)
+        self.mem = ReplayMemory(cfg.memory_size, seed=seed)
+        self.replay_rng = np.random.default_rng((seed, 1))
+        self.otmm_rng = np.random.default_rng((seed, 2))
+        self.proto_rng = np.random.default_rng((seed, 3))
+
+    def observe(self, batch: Batch) -> None:
+        """One stream batch: preservation on the batch and a replay draw, the
+        mixture refit on the features of their union, then replay insertion."""
+        cfg, fe, state, mem = self.cfg, self.fe, self.state, self.mem
+        new_ids = sorted(set(batch.labels.tolist()) - set(self.protos.known()))
+        if new_ids:
+            self.protos.init_new_classes(new_ids, seed=int(self.proto_rng.integers(2**31)))
+
+        replay = merge_class_batches(sample_replay_batch(mem, cfg.batch_size, self.replay_rng))
+        dynamic_preservation_step(batch, replay, fe, self.protos, cfg.preservation)
+
+        x, y = batch.features, batch.labels
+        if replay is not None:
+            x, y = np.concatenate([x, replay.features]), np.concatenate([y, replay.labels])
+        feats = fe.features_np(x)
+        otmm_step(split_by_class(feats, y), state, cfg.otmm, self.otmm_rng)
+
+        new_feats = feats[: len(batch)]
+        for c in np.unique(batch.labels).tolist():
+            mask = batch.labels == c
+            class_batch = Batch(features=batch.features[mask], labels=batch.labels[mask])
+            if cfg.random_insertion:
+                k = cfg.n_centroids
+                insert_random(mem, class_batch, insertion_budget(mem, c, k) * k)
+            else:
+                insert_with_centroids(
+                    mem, class_batch, new_feats[mask], state.mixtures[c].centroids()
+                )
+
+    def end_task(self, t_idx: int) -> None:
+        """Rebalance the memory quotas over every class of tasks 0..t_idx."""
+        rebalance_quotas(self.mem, (t_idx + 1) * self.cfg.classes_per_task)
+
+    def evaluate(self, test_batches: list[Batch]) -> list[float]:
+        """Nearest-centroid accuracy on each held-out batch."""
+        return [evaluate_task(tb, self.fe, self.state.mixtures) for tb in test_batches]
+
+    def save(self, out_dir: str) -> None:
+        """Write `checkpoint_seed<seed>.npz` for `load_model`."""
+        meta = {
+            "input_dim": self.fe.input_dim,
+            "feat_dim": self.cfg.feat_dim,
+            "hidden_dim": self.cfg.hidden_dim,
+            "n_centroids": self.cfg.n_centroids,
+            "classes": self.state.known(),
+            "prototype_classes": self.protos.known(),
+            "num_tasks": self.cfg.num_tasks,
+            "classes_per_task": self.cfg.classes_per_task,
+            "seed": self.seed,
+        }
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, f"checkpoint_seed{self.seed}.npz")
+        save_checkpoint(path, _param_groups(self.fe, self.state, self.protos), meta)
+
+
 def _run_single_seed(
     cfg: RunConfig,
     seed: int,
     train: Batch,
     test_batches: list[Batch],
     on_row=None,
-) -> tuple[AccMatrix, FeatureExtractor, OtmmState, ClassPrototypes]:
+) -> tuple[AccMatrix, Learner]:
     """One seed's pass over the stream of `train`, evaluated on the held-out
     `test_batches` (one per task); neither is written to."""
     stream = make_split_stream(
         train, cfg.num_tasks, cfg.classes_per_task, cfg.batch_size, seed=seed
     )
-    input_dim = train.features.shape[1]
-
-    fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
-    protos = ClassPrototypes(cfg.feat_dim)
-    state = OtmmState(cfg.n_centroids, cfg.feat_dim, seed=seed)
-    mem = ReplayMemory(cfg.memory_size, seed=seed)
-    replay_rng = np.random.default_rng((seed, 1))
-    otmm_rng = np.random.default_rng((seed, 2))
-    proto_rng = np.random.default_rng((seed, 3))
-
+    learner = Learner(cfg, seed, train.features.shape[1])
     acc = AccMatrix(cfg.num_tasks)
     curve: list[tuple[int, int, float]] = []
 
     for t_idx, task in enumerate(stream.tasks):
+        seen = test_batches[: t_idx + 1]
         for b_idx, batch in enumerate(task.batches):
             try:
-                new_ids = sorted(set(batch.labels.tolist()) - set(protos.known()))
-                if new_ids:
-                    protos.init_new_classes(new_ids, seed=int(proto_rng.integers(2**31)))
-
-                replay = merge_class_batches(
-                    sample_replay_batch(mem, cfg.batch_size, replay_rng)
-                )
-                dynamic_preservation_step(batch, replay, fe, protos, cfg.preservation)
-
-                if replay is None:
-                    union = batch
-                else:
-                    union = Batch(
-                        features=np.concatenate([batch.features, replay.features]),
-                        labels=np.concatenate([batch.labels, replay.labels]),
-                    )
-                feats = fe.features_np(union.features)
-                otmm_step(split_by_class(feats, union.labels), state, cfg.otmm, otmm_rng)
-
-                new_feats = feats[: len(batch)]
-                for c in np.unique(batch.labels).tolist():
-                    mask = batch.labels == c
-                    class_batch = Batch(features=batch.features[mask], labels=batch.labels[mask])
-                    if cfg.random_insertion:
-                        k = cfg.n_centroids
-                        insert_random(mem, class_batch, insertion_budget(mem, c, k) * k)
-                    else:
-                        insert_with_centroids(
-                            mem, class_batch, new_feats[mask], state.mixtures[c].centroids()
-                        )
-
+                learner.observe(batch)
                 if cfg.eval_every_batch:
-                    seen = test_batches[: t_idx + 1]
-                    avg = float(
-                        np.mean([evaluate_task(tb, fe, state.mixtures) for tb in seen])
-                    )
-                    curve.append((t_idx + 1, b_idx + 1, avg))
+                    curve.append((t_idx + 1, b_idx + 1, float(np.mean(learner.evaluate(seen)))))
             except NumericsError as err:
                 raise NumericsError(
                     f"seed {seed} task {t_idx + 1} batch {b_idx + 1}: {err}",
@@ -302,26 +334,24 @@ def _run_single_seed(
                     seed=seed, task=t_idx + 1, batch=b_idx + 1,
                 ) from err
 
-        rebalance_quotas(mem, (t_idx + 1) * cfg.classes_per_task)
-        row = [
-            evaluate_task(test_batches[j], fe, state.mixtures) for j in range(t_idx + 1)
-        ]
+        learner.end_task(t_idx)
+        row = learner.evaluate(seen)
         acc.set_row(t_idx, row)
         if on_row is not None:
             on_row(seed, t_idx, row)
 
     if cfg.eval_every_batch and cfg.out_dir:
-        _write_curve(cfg.out_dir, seed, curve)
-    return acc, fe, state, protos
+        header = ["task_index", "batch_index", "avg_accuracy_seen"]
+        _write_csv(os.path.join(cfg.out_dir, f"curve_seed{seed}.csv"), header, curve)
+    return acc, learner
 
 
-def _write_curve(out_dir: str, seed: int, curve: list[tuple[int, int, float]]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"curve_seed{seed}.csv")
+def _write_csv(path: str, header: list[str], rows) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["task_index", "batch_index", "avg_accuracy_seen"])
-        w.writerows(curve)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -332,39 +362,11 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _write_outputs(
-    out_dir: str,
-    cfg: RunConfig,
-    rows: list[tuple[int, int, int, float]],
-    summary: dict,
-) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "task_index", "eval_task", "accuracy"])
-        w.writerows(rows)
+def _write_outputs(out_dir: str, rows: list[tuple[int, int, int, float]], summary: dict) -> None:
+    header = ["seed", "task_index", "eval_task", "accuracy"]
+    _write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
-
-
-def _save_model(out_dir: str, seed: int, cfg: RunConfig, fe, state, protos) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    groups = {"extractor": fe.params, "prototypes": protos.params}
-    for c in state.known():
-        groups[f"mixture_{c}"] = state.mixtures[c].params
-        groups[f"potential_{c}"] = state.potentials[c].params
-    meta = {
-        "input_dim": fe.input_dim,
-        "feat_dim": cfg.feat_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "n_centroids": cfg.n_centroids,
-        "classes": state.known(),
-        "prototype_classes": protos.known(),
-        "num_tasks": cfg.num_tasks,
-        "classes_per_task": cfg.classes_per_task,
-        "seed": seed,
-    }
-    save_checkpoint(os.path.join(out_dir, f"checkpoint_seed{seed}.npz"), groups, meta)
 
 
 def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
@@ -387,9 +389,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
         test_batches = split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
         del test  # split_tasks copied its rows; the seeds need only the split
         for seed in cfg.seeds:
-            acc, fe, state, protos = _run_single_seed(
-                cfg, seed, train, test_batches, on_row=on_row
-            )
+            acc, learner = _run_single_seed(cfg, seed, train, test_batches, on_row=on_row)
             matrices[seed] = acc
             T = cfg.num_tasks
             per_seed[str(seed)] = {
@@ -397,7 +397,8 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
                 "avg_forgetting": avg_forgetting(acc, T) if T >= 2 else None,
             }
             if cfg.out_dir:
-                _save_model(cfg.out_dir, seed, cfg, fe, state, protos)
+                learner.save(cfg.out_dir)
+            del learner  # its replay rows are not kept through the next seed's run
     except Exception as err:
         if cfg.out_dir:
             failure = {
@@ -406,7 +407,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
                 "error": repr(err),
                 "wall_clock_seconds": time.time() - t0,
             }
-            _write_outputs(cfg.out_dir, cfg, rows, failure)
+            _write_outputs(cfg.out_dir, rows, failure)
         raise
 
     a_vals = [v["avg_accuracy"] for v in per_seed.values()]
@@ -421,27 +422,33 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
         "wall_clock_seconds": time.time() - t0,
     }
     if cfg.out_dir:
-        _write_outputs(cfg.out_dir, cfg, rows, summary)
+        _write_outputs(cfg.out_dir, rows, summary)
     return matrices, summary
 
 
 # ---------------------------------------------------------- checkpoints
 
 
+def _param_groups(fe: FeatureExtractor, state: OtmmState, protos: ClassPrototypes) -> dict:
+    """The checkpoint's parameter groups by name, in file order: the one
+    layout that `Learner.save` writes and `load_model` restores."""
+    groups = {"extractor": fe.params, "prototypes": protos.params}
+    for c in state.known():
+        groups[f"mixture_{c}"] = state.mixtures[c].params
+        groups[f"potential_{c}"] = state.potentials[c].params
+    return groups
+
+
 def load_model(path: str) -> tuple[FeatureExtractor, OtmmState, ClassPrototypes, dict]:
     """Rebuild extractor, mixtures, and prototypes from a run checkpoint."""
     groups, meta = load_checkpoint(path)
-    fe = FeatureExtractor(meta["input_dim"], meta["feat_dim"], hidden=meta["hidden_dim"])
-    restore_params(fe.params, groups["extractor"])
-    state = OtmmState(meta["n_centroids"], meta["feat_dim"])
+    k, d = meta["n_centroids"], meta["feat_dim"]
+    fe = FeatureExtractor(meta["input_dim"], d, hidden=meta["hidden_dim"])
+    state = OtmmState(k, d)
     for c in meta["classes"]:
-        mix = ClassMixture(meta["n_centroids"], meta["feat_dim"])
-        restore_params(mix.params, groups[f"mixture_{c}"])
-        state.mixtures[c] = mix
-        phi = DualPotential(meta["feat_dim"])
-        restore_params(phi.params, groups[f"potential_{c}"])
-        state.potentials[c] = phi
-    protos = ClassPrototypes(meta["feat_dim"])
+        state.mixtures[c], state.potentials[c] = ClassMixture(k, d), DualPotential(d)
+    protos = ClassPrototypes(d)
     protos.init_new_classes(meta["prototype_classes"], seed=0)
-    restore_params(protos.params, groups["prototypes"])
+    for name, params in _param_groups(fe, state, protos).items():
+        restore_params(params, groups[name])
     return fe, state, protos, meta

@@ -89,9 +89,9 @@ def _select_closest_per_centroid(
     return chosen
 
 
-def _store_selected(mem: ReplayMemory, batch: Batch, selected: list[int]) -> None:
-    """Append what fits under quota; replace random old entries with the rest."""
-    rows = mem.store[_single_class_of(batch)]
+def _store_selected(mem: ReplayMemory, c: int, batch: Batch, selected: list[int]) -> None:
+    """Append what fits under class c's quota; replace random old c rows with the rest."""
+    rows = mem.store[c]
     fresh = [batch.features[i].copy() for i in selected]
     free = max(0, mem.quota() - len(rows))
     rows.extend(fresh[:free])
@@ -133,14 +133,13 @@ def insert_with_centroids(
     if len(batch) == 0:
         return mem
     c = _single_class_of(batch)
-    mem.register_class(c)
+    n_per_centroid = insertion_budget(mem, c, centroids.shape[0])  # registers c
     if mem.quota() == 0:
         return mem
     if features.shape[0] != len(batch):
         raise ValueError("features must align with the batch rows")
-    n_per_centroid = insertion_budget(mem, c, centroids.shape[0])
     selected = _select_closest_per_centroid(features, centroids, n_per_centroid)
-    _store_selected(mem, batch, selected)
+    _store_selected(mem, c, batch, selected)
     return mem
 
 
@@ -158,7 +157,7 @@ def insert_random(
     if n < 1:
         return mem
     picked = mem._rng.choice(len(batch), size=n, replace=False)
-    _store_selected(mem, batch, [int(i) for i in sorted(picked)])
+    _store_selected(mem, c, batch, [int(i) for i in sorted(picked)])
     return mem
 
 
