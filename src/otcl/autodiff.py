@@ -10,10 +10,12 @@ enter the graph as constants, which keeps backward deterministic.
 
 Training builds no graph: the transport step (`mixture`) and the
 preservation step (`losses`, `model`) compute their gradients in closed form
-on numpy arrays, and the graphs of their losses built here are the oracles
-the tests hold them to. `ParamSet` holds every trainable array with its
-gradient buffer and takes the checked SGD step, at one rate or at a rate
-per parameter; `ParamSet.union` steps several sets as one. The step
+on numpy arrays. The graphs of their losses, built from these primitives,
+are the oracles the tests hold them to; they live in `tests/oracles/`, with
+the central-difference check `finite_diff_check`. `ParamSet` holds every
+trainable array with its gradient buffer and takes the checked SGD step, at
+one rate or at a rate per parameter; `ParamSet.union` steps several sets as
+one. The step
 computes and checks each new value in the gradient buffer, one cache-sized
 block at a time, then swaps the two buffers and zeroes the new gradient.
 """
@@ -426,37 +428,3 @@ class ParamSet:
             t.data, t.grad = t.grad, t.data
             t.grad.fill(0.0)
 
-
-def finite_diff_check(loss_fn, params: ParamSet, h: float = 1e-5, tol: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_fn` must rebuild the loss graph from the current parameter values
-    on every call and be deterministic (freeze any noise outside it). `tol`
-    is the conventional pass threshold; the raw error is returned so callers
-    assert `result <= tol` themselves.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    params.zero_grad()
-    backward(loss_fn())
-    analytic = {name: t.grad.copy() for name, t in params.items()}
-    params.zero_grad()
-
-    worst = 0.0
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn().item()
-            flat[i] = orig - h
-            down = loss_fn().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            ref = analytic[name].reshape(-1)[i]
-            # floor the denominator: a gradient that is legitimately zero
-            # (e.g. cancelled by symmetry) still shows ~1e-10 of central
-            # difference rounding noise, which is not a gradient error
-            scale = max(abs(ref), abs(numeric), 1e-6)
-            worst = max(worst, abs(ref - numeric) / scale)
-    return worst

@@ -362,6 +362,20 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _environment() -> dict:
+    """What a seed's numbers reproduce under: the numpy build, its BLAS
+    (None where numpy cannot report it as a dict) and the BLAS thread
+    variables, each unset one as None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except TypeError:  # numpy < 1.26 takes no mode
+        blas = None
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    threads = {v: os.environ.get(v) for v in names}
+    return {"numpy": np.__version__, "blas": blas, "threads": threads}
+
+
 def _write_outputs(out_dir: str, rows: list[tuple[int, int, int, float]], summary: dict) -> None:
     header = ["seed", "task_index", "eval_task", "accuracy"]
     _write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
@@ -403,6 +417,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
         if cfg.out_dir:
             failure = {
                 "config": _config_echo(cfg),
+                "environment": _environment(),
                 "per_seed": per_seed,
                 "error": repr(err),
                 "wall_clock_seconds": time.time() - t0,
@@ -414,6 +429,7 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
     f_vals = [v["avg_forgetting"] for v in per_seed.values() if v["avg_forgetting"] is not None]
     summary = {
         "config": _config_echo(cfg),
+        "environment": _environment(),
         "per_seed": per_seed,
         "mean_avg_accuracy": float(np.mean(a_vals)),
         "std_avg_accuracy": float(np.std(a_vals)),

@@ -12,13 +12,12 @@ The two phases run per incoming joint batch (stream batch plus replay draw):
    anchors; samples are pulled to their own anchor and pushed from the rest.
    Only the extractor moves here.
 
-`loss_separation` and `loss_compression` build these losses as autodiff
-graphs; they are the oracles. Training does not use them:
 `dynamic_preservation_step` computes each loss and its gradients in closed
 form on numpy arrays (`separation_value_and_grad`,
-`compression_value_and_grad`, `FeatureExtractor.backward_np`), in the
-summation order of the graphs, so every update is bit for bit the one
-`ad.backward` of the oracle would give.
+`compression_value_and_grad`, `FeatureExtractor.backward_np`). The oracles
+`loss_separation` and `loss_compression` in `tests/oracles/` build the same
+losses as autodiff graphs; the closed forms keep their summation order, so
+every update is bit for bit the one `backward` of the oracle would give.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import NumericsError, ParamSet, Tensor
+from .autodiff import NumericsError, ParamSet
 from .data import Batch
-from .model import ClassPrototypes, FeatureExtractor, class_logits
+from .model import ClassPrototypes, FeatureExtractor
 
 
 @dataclass(frozen=True)
@@ -57,24 +55,6 @@ def _class_weights(labels: np.ndarray) -> np.ndarray:
     return 1.0 / counts[inverse]
 
 
-def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> Tensor:
-    """Sum over present classes of the class-mean cross-entropy.
-
-    Logits cover every class with a prototype, so new-class samples push old
-    prototypes through the normalizer even when no old sample is present.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    protos.require(labels.tolist())
-    known = protos.known()
-    col = {c: j for j, c in enumerate(known)}
-    logits = class_logits(z, protos)
-    true_col = np.array([col[int(c)] for c in labels])
-    nll = ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, true_col))
-    return ad.tsum(ad.mul(nll, Tensor(_class_weights(labels))))
-
-
 def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
     """Per-class feature means of the joint batch; detached constants."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -84,31 +64,6 @@ def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[in
     return {
         int(c): features[labels == c].mean(axis=0) for c in np.unique(labels)
     }
-
-
-def loss_compression(z: Tensor, labels: np.ndarray, means: dict[int, np.ndarray]) -> Tensor:
-    """Pull samples toward their class mean, push from other classes' means.
-
-    Per sample: ||z - mean_own||^2 + logsumexp_c(-||z - mean_c||^2) over the
-    classes present in the batch; per-class mean, summed over classes. The
-    means are constants — no gradient reaches them.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    present = sorted(int(c) for c in np.unique(labels))
-    missing = [c for c in present if c not in means]
-    if missing:
-        raise KeyError(f"no mean prototype for classes {missing}")
-    anchors = Tensor(np.stack([means[c] for c in present]))
-    col = {c: j for j, c in enumerate(present)}
-    own_col = np.array([col[int(c)] for c in labels])
-
-    dists = ad.pairwise_sqdist(z, anchors)
-    own = ad.gather(dists, own_col)
-    repel = ad.logsumexp(ad.neg(dists), axis=1)
-    per_sample = ad.add(own, repel)
-    return ad.tsum(ad.mul(per_sample, Tensor(_class_weights(labels))))
 
 
 def join_batches(new_batch: Batch, replay_batch: Batch | None) -> Batch:

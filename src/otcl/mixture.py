@@ -28,8 +28,8 @@ then n_mix_steps draws; each draw rng.random((m, K)) followed by
 rng.standard_normal((m, K, d)). Every step's new values are checked for
 finite values per class, and nothing is written back until every group of
 the call has stepped: a non-finite step leaves every class as it was.
-`dual_objective` builds the same value as an autodiff graph and is the
-oracle those gradients are tested against.
+The tests hold those gradients to `dual_objective`, which builds the same
+value as an autodiff graph in `tests/oracles/`.
 """
 
 from __future__ import annotations
@@ -67,40 +67,12 @@ class OtmmConfig:
             raise ValueError("learning rates must be positive")
 
 
-@dataclass(frozen=True)
-class MixtureNoise:
-    """Frozen randomness for one set of mixture draws."""
-
-    gumbel: np.ndarray  # (n, K)
-    gauss: np.ndarray  # (n, K, feat_dim)
-
-
-def draw_mixture_noise(n: int, k: int, dim: int, rng: np.random.Generator) -> MixtureNoise:
-    return MixtureNoise(
-        gumbel=_gumbel(rng.random(size=(n, k))),
-        gauss=rng.standard_normal((n, k, dim)),
-    )
-
-
 def _gumbel(u: np.ndarray) -> np.ndarray:
     """-log(-log(u)), in place."""
     np.maximum(u, 1e-300, out=u)  # u = 0 would send the Gumbel to -inf
     for op in (np.log, np.negative, np.log, np.negative):
         op(u, out=u)
     return u
-
-
-def _draw_noise(
-    n: int, k: int, dim: int, rng: np.random.Generator | None, noise: MixtureNoise | None
-) -> MixtureNoise:
-    """The frozen `noise` after a shape check, else a fresh draw from `rng`."""
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide rng or frozen noise")
-        return draw_mixture_noise(n, k, dim, rng)
-    if noise.gumbel.shape != (n, k) or noise.gauss.shape != (n, k, dim):
-        raise ValueError("noise shape does not match (n, K, feat_dim)")
-    return noise
 
 
 class ClassMixture:
@@ -160,100 +132,6 @@ class DualPotential(MLP):
         return ad.reshape(super().forward(z), (z.shape[0],))
 
 
-def gumbel_softmax_sample(
-    alpha: Tensor,
-    tau: float,
-    rng: np.random.Generator | None = None,
-    gumbel: np.ndarray | None = None,
-) -> Tensor:
-    """One relaxed categorical draw y = softmax((log pi + G) / tau).
-
-    Differentiable w.r.t. the mixing logits with the noise frozen; as tau
-    drops to zero, y approaches the one-hot at argmax(log pi + G), which the
-    Gumbel-max property distributes according to pi.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    k = alpha.shape[0]
-    if gumbel is None:
-        if rng is None:
-            raise ValueError("provide rng or frozen gumbel noise")
-        gumbel = draw_mixture_noise(1, k, 1, rng).gumbel[0]
-    log_pi = ad.sub(alpha, ad.logsumexp(alpha))
-    return ad.softmax(ad.scale(ad.add(log_pi, Tensor(gumbel)), 1.0 / tau), axis=-1)
-
-
-def sample_mixture(
-    mix: ClassMixture,
-    tau: float,
-    n: int,
-    rng: np.random.Generator | None = None,
-    noise: MixtureNoise | None = None,
-) -> tuple[Tensor, MixtureNoise]:
-    """Draw n reparameterized mixture samples: z_tilde = sum_k y_k (mu_k + eps_k * sigma_k).
-
-    Returns the draws and the noise that produced them, so a caller can
-    rebuild the identical graph (finite differences, monotonicity checks).
-    """
-    if n < 1:
-        raise ValueError("need at least one draw")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    k, d = mix.n_components, mix.feat_dim
-    noise = _draw_noise(n, k, d, rng, noise)
-
-    alpha = mix.params["alpha"]
-    log_pi = ad.sub(alpha, ad.logsumexp(alpha))  # (K,)
-    y = ad.softmax(
-        ad.scale(ad.add(log_pi, Tensor(noise.gumbel)), 1.0 / tau), axis=1
-    )  # (n, K)
-
-    sigma = ad.exp(mix.params["log_sigma"])  # (K, d)
-    comps = ad.add(mix.params["mu"], ad.mul(Tensor(noise.gauss), sigma))  # (n, K, d)
-    weighted = ad.mul(ad.reshape(y, (n, k, 1)), comps)
-    return ad.tsum(weighted, axis=1), noise
-
-
-def phi_tilde(z_tilde: Tensor, z_batch: Tensor, phi: DualPotential, epsilon: float) -> Tensor:
-    """Smoothed conjugate of the potential over the empirical batch.
-
-    For each draw: -epsilon * [logsumexp_i((-d(z_i, draw) + phi(z_i)) / epsilon) - ln n],
-    with d the squared Euclidean distance. A soft-min of d - phi at
-    temperature epsilon; stable via logsumexp.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    n = z_batch.shape[0]
-    if n == 0:
-        raise ValueError("empty feature batch")
-    dists = ad.pairwise_sqdist(z_tilde, z_batch)  # (m, n)
-    inner = ad.scale(ad.add(ad.neg(dists), phi.forward(z_batch)), 1.0 / epsilon)
-    lse = ad.logsumexp(inner, axis=1)  # (m,)
-    return ad.add(ad.scale(lse, -epsilon), Tensor(epsilon * np.log(n)))
-
-
-def dual_objective(
-    z_batch: Tensor,
-    mix: ClassMixture,
-    phi: DualPotential,
-    cfg: OtmmConfig,
-    rng: np.random.Generator | None = None,
-    noise: MixtureNoise | None = None,
-) -> Tensor:
-    """Monte-Carlo semi-dual value: mean phi over the batch plus mean
-    conjugate over fresh mixture draws. Scalar tensor, differentiable in both
-    the potential and the mixture (noise enters as constants)."""
-    n = z_batch.shape[0]
-    if n == 0:
-        raise ValueError("empty feature batch")
-    m = cfg.n_mix_samples or n
-    draws, _ = sample_mixture(mix, cfg.tau, m, rng=rng, noise=noise)
-    return ad.add(
-        ad.tmean(phi.forward(z_batch)),
-        ad.tmean(phi_tilde(draws, z_batch, phi, cfg.epsilon)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # class-stacked transport step
 #
@@ -261,9 +139,9 @@ def dual_objective(
 # features, draws and parameters along a leading class axis (C, ...), padded
 # to its largest class: padded feature rows get -inf in the soft-min and zero
 # weight in every mean, padded draws zero weight. Every phase step is then
-# one pass of batched array calls for the whole group. The value is
-# dual_objective's, with squared distances taken as |x|^2 + |z|^2 - 2 x.z,
-# so steps agree with the autodiff oracle up to rounding.
+# one pass of batched array calls for the whole group. The value is the
+# oracle `dual_objective`'s, with squared distances taken as
+# |x|^2 + |z|^2 - 2 x.z, so steps agree with it up to rounding.
 
 # Bound on the noise one group draws up front, padded to its most draws. A
 # group is a run of consecutive classes under it (a class over it on its own
@@ -326,10 +204,11 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
 
 def _draw_group_noise(ms: list[int], k: int, dim: int, n_steps: int, rng: np.random.Generator):
     """Gumbel (n_steps, C, K, M) and Gaussian (n_steps, C, M, K, dim) noise,
-    drawn class by class and, per class, step by step, each draw as
-    draw_mixture_noise(m, k, dim, rng) makes it. Draws past a class's m are
-    padding (the Gumbel of u = 0.5, a zero Gaussian). The Gumbel noise is
-    stored components-first, so that softmaxes over K reduce a leading axis."""
+    drawn class by class and, per class, step by step, each draw as the
+    oracle draw_mixture_noise(m, k, dim, rng) makes it. Draws past a
+    class's m are padding (the Gumbel of u = 0.5, a zero Gaussian). The
+    Gumbel noise is stored components-first, so that softmaxes over K
+    reduce a leading axis."""
     u = np.full((n_steps, len(ms), max(ms), k), 0.5)
     gauss = np.zeros(u.shape + (dim,))
     for i, m in enumerate(ms):
@@ -347,8 +226,9 @@ class ClassGroup:
     real rows and draws and 0 on padding. All noise of both phases is drawn
     here, in the order a per-class step draws it: class by class in the
     given (ascending) order, n_phi_steps then n_mix_steps draws per class.
-    Pass a frozen `noise` instead to reuse one draw in every step (a group
-    of one class). Updated parameters stay in the stacks until `write_back`.
+    (The tests' `oracles.frozen_noise_group` replaces a group's noise with
+    one frozen draw for every step.) Updated parameters stay in the stacks
+    until `write_back`.
     """
 
     def __init__(
@@ -358,8 +238,7 @@ class ClassGroup:
         mixtures: list[ClassMixture],
         potentials: list[DualPotential],
         cfg: OtmmConfig,
-        rng: np.random.Generator | None = None,
-        noise: MixtureNoise | None = None,
+        rng: np.random.Generator,
     ):
         ns = [f.shape[0] for f in features]
         if min(ns) == 0:
@@ -382,18 +261,7 @@ class ClassGroup:
         self.mixture = _Stack([mix.params for mix in mixtures])
         self.potential = _Stack([phi.params for phi in potentials])
 
-        n_steps = cfg.n_phi_steps + cfg.n_mix_steps
-        if noise is None:
-            if rng is None:
-                raise ValueError("provide rng or frozen noise")
-            gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng)
-        else:
-            if len(ns) != 1:
-                raise ValueError("frozen noise serves a group of one class")
-            noise = _draw_noise(ms[0], k, dim, None, noise)
-            gumbel = np.broadcast_to(noise.gumbel.T, (n_steps, 1, k, ms[0]))
-            # a copy: update_phi turns its phase's Gaussian noise into draws in place
-            gauss = np.broadcast_to(noise.gauss, (n_steps, 1, *noise.gauss.shape)).copy()
+        gumbel, gauss = _draw_group_noise(ms, k, dim, cfg.n_phi_steps + cfg.n_mix_steps, rng)
         self.phi_noise = gumbel[: cfg.n_phi_steps], gauss[: cfg.n_phi_steps]
         self.mix_noise = gumbel[cfg.n_phi_steps :], gauss[cfg.n_phi_steps :]
 
@@ -418,12 +286,12 @@ def _layers(views: dict[str, np.ndarray]) -> Layers:
 def stacked_draws(
     mixture: _Stack, tau: float, gumbel: np.ndarray, gauss: np.ndarray, out: np.ndarray | None = None
 ):
-    """Draws x (..., C, M, d), as sample_mixture makes them, from Gumbel
-    (..., C, K, M) and Gaussian (..., C, M, K, d) noise; the leading axes may
-    hold several steps. Also returns what the gradient needs: relaxed
-    assignments y (..., C, K, M), weights pi (C, K), scales (C, K, d) and
-    component draws (..., C, M, K, d), written to `out` if given (which may
-    be `gauss` itself)."""
+    """Draws x (..., C, M, d), as the oracle sample_mixture makes them,
+    from Gumbel (..., C, K, M) and Gaussian (..., C, M, K, d) noise; the
+    leading axes may hold several steps. Also returns what the gradient
+    needs: relaxed assignments y (..., C, K, M), weights pi (C, K), scales
+    (C, K, d) and component draws (..., C, M, K, d), written to `out` if
+    given (which may be `gauss` itself)."""
     alpha = mixture.v["alpha"]
     top = alpha.max(axis=1, keepdims=True)
     shifted = np.exp(alpha - top)
@@ -599,7 +467,8 @@ def otmm_step(
     are untouched; classes seen for the first time get their mixture anchored
     on this batch's features. Classes are stepped in groups (ClassGroup,
     GROUP_NOISE_BYTES), each phase once per group. Returns per-class
-    objective traces.
+    objective traces. The per-class autodiff loop it is tested against is
+    built on `dual_objective` in `tests/oracles/`.
 
     A non-finite update raises NumericsError with the class id, phase and
     parameter of the lowest-id failing class at the first failing step.

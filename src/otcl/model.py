@@ -8,7 +8,8 @@ class's transport potential (`mixture.DualPotential`). `mlp_forward` and
 runs on the float64 parameters; evaluation asks `features_np` for float32,
 the same kernel on a float32 copy of the weights. Class logits are pure
 inner products against one trainable prototype row per class seen so far —
-no bias, no normalization.
+no bias, no normalization; their graph (`class_logits`) is built only by
+the test oracles in `tests/oracles/`.
 """
 
 from __future__ import annotations
@@ -172,18 +173,6 @@ class ClassPrototypes:
         missing = sorted(set(class_ids) - set(self.class_ids))
         if missing:
             raise KeyError(f"no prototype for classes {missing}")
-
-    def stack(self) -> Tensor:
-        """Prototype matrix (classes, feat_dim) as a differentiable stack."""
-        if not self.class_ids:
-            raise ValueError("no classes initialized")
-        return ad.concat_rows(*(self.params[f"proto_{c}"] for c in self.class_ids))
-
-
-def class_logits(z: Tensor, protos: ClassPrototypes) -> Tensor:
-    """Logit matrix (n, classes), column order = ascending class id."""
-    w = protos.stack()
-    return ad.matmul(z, ad.transpose(w))
 
 
 # ---------------------------------------------------------------------------

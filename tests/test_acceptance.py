@@ -17,26 +17,15 @@ import pytest
 from numpy.random import default_rng
 
 import otcl.autodiff as ad
-from otcl.autodiff import Tensor, finite_diff_check
+from oracles import (draw_mixture_noise, dual_objective, finite_diff_check, gumbel_softmax_sample,
+                     loss_compression, loss_separation, phi_tilde)
+from oracles.ot_ref import DiscreteMeasure, exact_ot_uniform, sinkhorn_distance
+from otcl.autodiff import Tensor
 from otcl.data import Batch, SynthSpec, gen_synthetic, make_split_stream, ring_centers
 from otcl.harness import MNIST_FILES, RunConfig, predict, run_experiment
-from otcl.losses import (
-    PreservationConfig,
-    compute_mean_prototypes,
-    loss_compression,
-    loss_separation,
-)
-from otcl.mixture import (
-    ClassMixture,
-    DualPotential,
-    OtmmConfig,
-    draw_mixture_noise,
-    dual_objective,
-    gumbel_softmax_sample,
-    phi_tilde,
-)
+from otcl.losses import PreservationConfig, compute_mean_prototypes
+from otcl.mixture import ClassMixture, DualPotential, OtmmConfig
 from otcl.model import ClassPrototypes, FeatureExtractor
-from otcl.ot_ref import DiscreteMeasure, exact_ot_uniform, sinkhorn_distance
 from otcl.replay import (
     ReplayMemory,
     insert_random,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_check
 from otcl import autodiff as ad
 from otcl.autodiff import ParamSet, Tensor
 
@@ -116,7 +117,7 @@ class TestBackward:
             h = ad.relu(ad.add(ad.matmul(x, w), b))
             return ad.tsum(ad.mul(h, h))
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
+        assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
 
     def test_logsumexp_softmax_graph_finite_diff(self):
         rng = np.random.default_rng(8)
@@ -127,7 +128,7 @@ class TestBackward:
             s = ad.softmax(z, axis=1)
             return ad.add(ad.tsum(ad.logsumexp(z, axis=1)), ad.tsum(ad.mul(s, s)))
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
+        assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
 
     def test_pairwise_sqdist_values_and_grads(self):
         rng = np.random.default_rng(9)
@@ -146,7 +147,7 @@ class TestBackward:
         def loss_fn():
             return ad.tsum(ad.mul(ad.pairwise_sqdist(a, b), weights))
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
+        assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
     def test_gather_grads(self):
         rng = np.random.default_rng(10)
@@ -157,7 +158,7 @@ class TestBackward:
         def loss_fn():
             return ad.tsum(ad.gather(ad.mul(m, m), cols))
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
+        assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
 
 class TestSgdStep:
@@ -359,13 +360,13 @@ class TestFiniteDiffCheck:
         def loss_fn():
             return ad.scale(ad.tsum(ad.mul(p, p)), 0.5)
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
+        assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
     def test_nonpositive_h_rejected(self):
         ps = ParamSet()
         ps.add("p", [1.0])
         with pytest.raises(ValueError):
-            ad.finite_diff_check(lambda: ad.tsum(ps["p"]), ps, h=0.0)
+            finite_diff_check(lambda: ad.tsum(ps["p"]), ps, h=0.0)
 
     def test_detects_wrong_gradient(self):
         # a broken vjp must produce a large reported error, not a silent pass
@@ -377,7 +378,7 @@ class TestFiniteDiffCheck:
             out._vjp = lambda g: (g * np.ones_like(p.data),)  # wrong on purpose
             return out
 
-        assert ad.finite_diff_check(loss_fn, ps, h=1e-5) > 0.1
+        assert finite_diff_check(loss_fn, ps, h=1e-5) > 0.1
 
 
 class TestParamSet:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -521,6 +523,38 @@ def test_partial_metrics_flushed_on_failure(tmp_path, monkeypatch):
     assert "error" in s and "mid-run failure" in s["error"]
 
 
+def test_summary_records_what_a_seed_reproduces_under(tmp_path, monkeypatch):
+    import otcl.harness as hz
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    run_experiment(tiny_run_config(out_dir=str(tmp_path / "ok")))
+
+    def no_data(cfg):
+        raise ValueError("no data")
+
+    monkeypatch.setattr(hz, "_load_dataset", no_data)
+    with pytest.raises(ValueError, match="no data"):
+        run_experiment(tiny_run_config(out_dir=str(tmp_path / "failed")))
+    for run in ("ok", "failed"):
+        with open(tmp_path / run / "summary.json") as fh:
+            env = json.load(fh)["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["threads"] == threads | {"MKL_NUM_THREADS": None}
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+
+
+def test_summary_blas_is_null_where_numpy_cannot_report_it(monkeypatch):
+    import otcl.harness as hz
+
+    def show_config():
+        """numpy < 1.26's signature: no mode."""
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    assert hz._environment()["blas"] is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the error
 def test_numerics_error_carries_seed_task_and_batch(tmp_path):
     cfg = tiny_run_config(
@@ -707,3 +741,41 @@ def test_benchmark_stop_leaves_run_experiment(probes, tmp_path):
     assert len(clock.pre) == 3
     with open(tmp_path / "summary.json") as fh:
         assert json.load(fh)["error"] == "StopRun()"
+
+
+STANDALONE_RUN = """
+import importlib, importlib.util, pkgutil, sys
+import otcl
+for info in pkgutil.iter_modules(otcl.__path__):
+    importlib.import_module("otcl." + info.name)
+assert importlib.util.find_spec("oracles") is None
+assert importlib.util.find_spec("otcl.ot_ref") is None
+
+from otcl import autodiff, cli
+from otcl.data import SynthSpec, ring_centers
+from otcl.harness import RunConfig, run_experiment
+
+def refuse(loss):
+    raise AssertionError("a run built an autodiff graph")
+
+autodiff.backward = refuse
+spec = SynthSpec(num_classes=4, modes_per_class=1, mode_centers=ring_centers(4, 1, radius=4.0),
+                 mode_scale=0.3, samples_per_class=60, seed=0)
+run_experiment(RunConfig(synth=spec, num_tasks=2, classes_per_task=2, memory_size=20,
+                         feat_dim=4, hidden_dim=8, out_dir="out"))
+assert cli.main(["gen-synth", "--out", "toy.npz", "--num-classes", "4"]) == 0
+sys.exit(cli.main(["eval", "--checkpoint", "out/checkpoint_seed0.npz", "--synth-npz", "toy.npz"]))
+"""
+
+
+def test_package_stands_alone_and_a_run_builds_no_graph(tmp_path):
+    """`otcl` imports, runs and evaluates with only `src/` on the path, so no
+    test oracle is shipped or needed, and no step calls `backward`: the
+    tier-1 twin of the benchmark smokes' `backward_calls == 0` gate."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", STANDALONE_RUN], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import finite_diff_check, loss_compression, loss_separation
 from otcl import autodiff as ad
 from otcl import losses as L
 from otcl.autodiff import NumericsError, Tensor
@@ -34,7 +35,7 @@ class TestLossSeparation:
         for c in (0, 1):
             protos.params[f"proto_{c}"].data[...] = 0.0
         z = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        loss = L.loss_separation(z, np.array([0, 0, 1, 1]), protos)
+        loss = loss_separation(z, np.array([0, 0, 1, 1]), protos)
         assert loss.item() == pytest.approx(2 * np.log(2.0), abs=1e-12)
 
     def test_confident_correct_logit_drives_loss_to_zero(self):
@@ -42,7 +43,7 @@ class TestLossSeparation:
         protos.params["proto_0"].data[...] = [[1000.0, 0.0]]
         protos.params["proto_1"].data[...] = [[0.0, 1000.0]]
         z = Tensor(np.eye(2))
-        loss = L.loss_separation(z, np.array([0, 1]), protos)
+        loss = loss_separation(z, np.array([0, 1]), protos)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_naive_per_sample_oracle(self):
@@ -50,7 +51,7 @@ class TestLossSeparation:
         protos = make_protos(5, [0, 1, 2], seed=1)
         z = rng.normal(size=(9, 5))
         labels = np.array([0, 1, 2, 0, 1, 2, 0, 0, 1])
-        got = L.loss_separation(Tensor(z), labels, protos).item()
+        got = loss_separation(Tensor(z), labels, protos).item()
         assert got == pytest.approx(naive_separation(z, labels, protos), abs=1e-10)
 
     def test_denominator_covers_unseen_in_batch_classes(self):
@@ -58,18 +59,18 @@ class TestLossSeparation:
         protos = make_protos(2, [0, 1, 2], seed=2)
         z = np.random.default_rng(3).normal(size=(4, 2))
         labels = np.array([0, 0, 1, 1])
-        got = L.loss_separation(Tensor(z), labels, protos).item()
+        got = loss_separation(Tensor(z), labels, protos).item()
         assert got == pytest.approx(naive_separation(z, labels, protos), abs=1e-10)
 
     def test_empty_batch_rejected(self):
         protos = make_protos(2, [0])
         with pytest.raises(ValueError, match="empty"):
-            L.loss_separation(Tensor(np.zeros((0, 2))), np.array([]), protos)
+            loss_separation(Tensor(np.zeros((0, 2))), np.array([]), protos)
 
     def test_missing_prototype_rejected(self):
         protos = make_protos(2, [0])
         with pytest.raises(KeyError):
-            L.loss_separation(Tensor(np.zeros((1, 2))), np.array([5]), protos)
+            loss_separation(Tensor(np.zeros((1, 2))), np.array([5]), protos)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -78,7 +79,7 @@ class TestLossSeparation:
         protos = make_protos(3, [0, 1], seed=seed)
         z = rng.normal(size=(6, 3))
         labels = rng.integers(0, 2, size=6)
-        assert L.loss_separation(Tensor(z), labels, protos).item() >= 0.0
+        assert loss_separation(Tensor(z), labels, protos).item() >= 0.0
 
     def test_gradients_match_finite_diff(self):
         rng = np.random.default_rng(4)
@@ -90,9 +91,9 @@ class TestLossSeparation:
         both = ad.ParamSet.union(fe.params, protos.params)  # the same tensors, one sweep
 
         def loss_fn():
-            return L.loss_separation(fe.forward(x), labels, protos)
+            return loss_separation(fe.forward(x), labels, protos)
 
-        assert ad.finite_diff_check(loss_fn, both, h=1e-5) <= 1e-4
+        assert finite_diff_check(loss_fn, both, h=1e-5) <= 1e-4
 
 
 class TestSeparationRates:
@@ -190,14 +191,14 @@ class TestLossCompression:
         rng = np.random.default_rng(7)
         z = rng.normal(size=(5, 3))
         means = {0: z.mean(axis=0)}
-        loss = L.loss_compression(Tensor(z), np.zeros(5, dtype=int), means)
+        loss = loss_compression(Tensor(z), np.zeros(5, dtype=int), means)
         assert loss.item() == 0.0
 
     def test_closed_form_two_classes_at_own_means(self):
         r2 = 3.7  # squared distance between the two anchors
         means = {0: np.array([0.0, 0.0]), 1: np.array([np.sqrt(r2), 0.0])}
         z = np.stack([means[0], means[1]])
-        loss = L.loss_compression(Tensor(z), np.array([0, 1]), means)
+        loss = loss_compression(Tensor(z), np.array([0, 1]), means)
         want = 2 * np.log(1 + np.exp(-r2))
         assert loss.item() == pytest.approx(want, rel=1e-12)
 
@@ -214,7 +215,7 @@ class TestLossCompression:
             per_class.setdefault(int(y), []).append(d[int(y)] + denom)
         want = sum(np.mean(v) for v in per_class.values())
 
-        got = L.loss_compression(Tensor(z), labels, means).item()
+        got = loss_compression(Tensor(z), labels, means).item()
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_gradient_wrt_extractor_matches_finite_diff(self):
@@ -225,19 +226,19 @@ class TestLossCompression:
         means = L.compute_mean_prototypes(fe.features_np(x.data), labels)
 
         def loss_fn():
-            return L.loss_compression(fe.forward(x), labels, means)
+            return loss_compression(fe.forward(x), labels, means)
 
-        assert ad.finite_diff_check(loss_fn, fe.params, h=1e-5) <= 1e-4
+        assert finite_diff_check(loss_fn, fe.params, h=1e-5) <= 1e-4
 
     def test_missing_mean_rejected(self):
         with pytest.raises(KeyError, match="mean"):
-            L.loss_compression(
+            loss_compression(
                 Tensor(np.zeros((2, 2))), np.array([0, 1]), {0: np.zeros(2)}
             )
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            L.loss_compression(Tensor(np.zeros((0, 2))), np.array([]), {})
+            loss_compression(Tensor(np.zeros((0, 2))), np.array([]), {})
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -248,7 +249,7 @@ class TestLossCompression:
         if len(np.unique(labels)) < 2:
             labels[0] = 1 - labels[0]
         means = L.compute_mean_prototypes(z, labels)
-        assert L.loss_compression(Tensor(z), labels, means).item() >= -1e-12
+        assert loss_compression(Tensor(z), labels, means).item() >= -1e-12
 
 
 class TestJoinBatches:
@@ -299,11 +300,11 @@ class TestDynamicPreservationStep:
     def test_separation_loss_decreases_on_separable_toy(self):
         fe, protos, batch = self._toy(seed=1)
         cfg = L.PreservationConfig(lr_theta=0.05, lr_proto=0.05, steps_l1=1, steps_l2=0)
-        before = L.loss_separation(
+        before = loss_separation(
             fe.forward(Tensor(batch.features)), batch.labels, protos
         ).item()
         L.dynamic_preservation_step(batch, None, fe, protos, cfg)
-        after = L.loss_separation(
+        after = loss_separation(
             fe.forward(Tensor(batch.features)), batch.labels, protos
         ).item()
         assert after < before
@@ -376,7 +377,7 @@ def reference_preservation_step(new_batch, replay_batch, fe, protos, cfg):
 
     for _ in range(cfg.steps_l1):
         z = fe.forward(x)
-        loss = L.loss_separation(z, joint.labels, protos)
+        loss = loss_separation(z, joint.labels, protos)
         sep_trace.append(loss.item())
         fe.params.zero_grad()
         protos.params.zero_grad()
@@ -392,7 +393,7 @@ def reference_preservation_step(new_batch, replay_batch, fe, protos, cfg):
 
     for _ in range(cfg.steps_l2):
         z = fe.forward(x)
-        loss = L.loss_compression(z, joint.labels, means)
+        loss = loss_compression(z, joint.labels, means)
         comp_trace.append(loss.item())
         fe.params.zero_grad()
         ad.backward(loss)
@@ -515,7 +516,7 @@ def test_closed_form_separation_gradients_pass_central_differences():
         both.zero_grad()
         return value, grads
 
-    assert ad.finite_diff_check(closed_form_loss(value_and_grad, both), both, h=1e-5) <= 1e-4
+    assert finite_diff_check(closed_form_loss(value_and_grad, both), both, h=1e-5) <= 1e-4
 
 
 def test_closed_form_compression_gradients_pass_central_differences():
@@ -530,7 +531,7 @@ def test_closed_form_compression_gradients_pass_central_differences():
         fe.params.zero_grad()
         return value, grads
 
-    assert ad.finite_diff_check(closed_form_loss(value_and_grad, fe.params), fe.params, h=1e-5) <= 1e-4
+    assert finite_diff_check(closed_form_loss(value_and_grad, fe.params), fe.params, h=1e-5) <= 1e-4
 
 
 def test_features_np_is_the_training_forward():
@@ -629,7 +630,7 @@ def test_skipping_constant_operands_leaves_every_grad_bitwise_unchanged(monkeypa
 
     def grads():
         fe.params.zero_grad()
-        ad.backward(L.loss_compression(fe.forward(x), labels, means))
+        ad.backward(loss_compression(fe.forward(x), labels, means))
         return {name: t.grad.tobytes() for name, t in fe.params.items()}
 
     skipped = grads()

@@ -10,12 +10,14 @@ import copy
 import numpy as np
 import pytest
 
+from oracles import (draw_mixture_noise, dual_objective, finite_diff_check, frozen_noise_group,
+                     gumbel_softmax_sample, phi_tilde, sample_mixture)
+from oracles.ot_ref import DiscreteMeasure, sinkhorn_distance
 from otcl import autodiff as ad
 from otcl import data as dt
 from otcl import mixture as mx
 from otcl import model
-from otcl.autodiff import NumericsError, Tensor, finite_diff_check
-from otcl.ot_ref import DiscreteMeasure, sinkhorn_distance
+from otcl.autodiff import NumericsError, Tensor
 
 
 def zeroed_potential(feat_dim: int) -> mx.DualPotential:
@@ -33,7 +35,7 @@ def dual_value_exact(z_batch, atoms, weights, phi, epsilon) -> float:
     sum over atoms, to compare against Sinkhorn without sampling error.
     """
     zb = Tensor(np.asarray(z_batch, dtype=np.float64))
-    conj = mx.phi_tilde(Tensor(np.asarray(atoms, dtype=np.float64)), zb, phi, epsilon)
+    conj = phi_tilde(Tensor(np.asarray(atoms, dtype=np.float64)), zb, phi, epsilon)
     return float(phi.forward(zb).data.mean() + (np.asarray(weights) * conj.data).sum())
 
 
@@ -45,7 +47,7 @@ def reference_update_phi(z_batch, mix, phi, cfg, rng=None, noise=None):
     for _ in range(cfg.n_phi_steps):
         phi.params.zero_grad()
         mix.params.zero_grad()
-        value = mx.dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
+        value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
         trace.append(value.item())
         ad.backward(ad.neg(value))  # ascend: descend the negation
         phi.params.step(cfg.lr_phi)
@@ -59,7 +61,7 @@ def reference_update_mixture(z_batch, mix, phi, cfg, rng=None, noise=None):
     for _ in range(cfg.n_mix_steps):
         phi.params.zero_grad()
         mix.params.zero_grad()
-        value = mx.dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
+        value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
         trace.append(value.item())
         ad.backward(value)
         mix.params.step(cfg.lr_mix)
@@ -73,7 +75,11 @@ def param_arrays(params) -> dict[str, np.ndarray]:
 
 def step_alone(phase, z, mix, phi, cfg, rng=None, noise=None) -> list[float]:
     """One phase of the stacked step for a group of one class, written back."""
-    group = mx.ClassGroup([0], [np.asarray(z, dtype=np.float64)], [mix], [phi], cfg, rng=rng, noise=noise)
+    z = np.asarray(z, dtype=np.float64)
+    if noise is None:
+        group = mx.ClassGroup([0], [z], [mix], [phi], cfg, rng)
+    else:
+        group = frozen_noise_group(z, mix, phi, cfg, noise)
     values = (mx.update_phi if phase == "phi" else mx.update_mixture)(group, cfg)
     group.write_back()
     return values[:, 0].tolist()
@@ -112,7 +118,7 @@ def test_gumbel_softmax_lands_on_simplex():
     rng = np.random.default_rng(0)
     alpha = Tensor(rng.standard_normal(5))
     for _ in range(20):
-        y = mx.gumbel_softmax_sample(alpha, tau=0.5, rng=rng)
+        y = gumbel_softmax_sample(alpha, tau=0.5, rng=rng)
         assert np.all(y.data > 0)
         assert abs(y.data.sum() - 1.0) <= 1e-12
 
@@ -122,8 +128,8 @@ def test_gumbel_softmax_zero_temperature_is_argmax():
     alpha = Tensor(np.array([0.4, -1.0, 0.9]))
     log_pi = alpha.data - np.log(np.exp(alpha.data).sum())
     for _ in range(50):
-        g = mx.draw_mixture_noise(1, 3, 1, rng).gumbel[0]
-        y = mx.gumbel_softmax_sample(alpha, tau=1e-6, gumbel=g)
+        g = draw_mixture_noise(1, 3, 1, rng).gumbel[0]
+        y = gumbel_softmax_sample(alpha, tau=1e-6, gumbel=g)
         hot = np.zeros(3)
         hot[np.argmax(log_pi + g)] = 1.0
         np.testing.assert_array_equal(y.data, hot)
@@ -135,15 +141,15 @@ def test_gumbel_softmax_hard_assignment_frequencies_match_weights():
     rng = np.random.default_rng(7)
     pi = np.array([0.3, 0.7])
     alpha = Tensor(np.log(pi))
-    g = mx.draw_mixture_noise(100_000, 2, 1, rng).gumbel  # (1e5, 2)
-    y = mx.gumbel_softmax_sample(alpha, tau=0.5, gumbel=g)
+    g = draw_mixture_noise(100_000, 2, 1, rng).gumbel  # (1e5, 2)
+    y = gumbel_softmax_sample(alpha, tau=0.5, gumbel=g)
     freq = np.bincount(np.argmax(y.data, axis=1), minlength=2) / 100_000
     assert np.all(np.abs(freq - pi) <= 0.01)
 
 
 def test_gumbel_softmax_gradient_wrt_logits():
     rng = np.random.default_rng(3)
-    g = mx.draw_mixture_noise(1, 4, 1, rng).gumbel[0]
+    g = draw_mixture_noise(1, 4, 1, rng).gumbel[0]
     from otcl.autodiff import ParamSet, tsum, mul
 
     params = ParamSet()
@@ -151,7 +157,7 @@ def test_gumbel_softmax_gradient_wrt_logits():
     coeffs = Tensor(rng.standard_normal(4))
 
     def loss():
-        y = mx.gumbel_softmax_sample(params["alpha"], tau=0.7, gumbel=g)
+        y = gumbel_softmax_sample(params["alpha"], tau=0.7, gumbel=g)
         return tsum(mul(coeffs, y))
 
     assert finite_diff_check(loss, params) <= 1e-4
@@ -160,9 +166,9 @@ def test_gumbel_softmax_gradient_wrt_logits():
 def test_gumbel_softmax_requires_positive_tau_and_noise_source():
     alpha = Tensor(np.zeros(2))
     with pytest.raises(ValueError):
-        mx.gumbel_softmax_sample(alpha, tau=0.0, rng=np.random.default_rng(0))
+        gumbel_softmax_sample(alpha, tau=0.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        mx.gumbel_softmax_sample(alpha, tau=0.5)
+        gumbel_softmax_sample(alpha, tau=0.5)
 
 
 # ------------------------------------------------------- mixture draws
@@ -170,7 +176,7 @@ def test_gumbel_softmax_requires_positive_tau_and_noise_source():
 
 def test_single_component_zero_scale_draws_equal_centroid():
     mix = degenerate_mixture(np.array([[1.5, -2.0, 0.25]]), np.array([1.0]))
-    draws, _ = mx.sample_mixture(mix, tau=0.5, n=64, rng=np.random.default_rng(0))
+    draws, _ = sample_mixture(mix, tau=0.5, n=64, rng=np.random.default_rng(0))
     np.testing.assert_allclose(draws.data, np.tile([1.5, -2.0, 0.25], (64, 1)), atol=1e-24)
 
 
@@ -178,7 +184,7 @@ def test_degenerate_draw_frequencies_match_mixing_weights():
     pi = np.array([0.2, 0.5, 0.3])
     centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     mix = degenerate_mixture(centers, pi)
-    draws, _ = mx.sample_mixture(mix, tau=1e-3, n=100_000, rng=np.random.default_rng(11))
+    draws, _ = sample_mixture(mix, tau=1e-3, n=100_000, rng=np.random.default_rng(11))
     assign = np.argmin(
         ((draws.data[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1
     )
@@ -190,7 +196,7 @@ def test_single_component_sample_mean_obeys_clt_bound():
     mix = mx.ClassMixture(1, 2)
     mix.params["mu"].data[...] = [[1.0, -2.0]]
     mix.params["log_sigma"].data[...] = np.log(0.5)
-    draws, _ = mx.sample_mixture(mix, tau=0.5, n=100_000, rng=np.random.default_rng(5))
+    draws, _ = sample_mixture(mix, tau=0.5, n=100_000, rng=np.random.default_rng(5))
     bound = 4 * 0.5 / np.sqrt(100_000)
     assert np.all(np.abs(draws.data.mean(axis=0) - [1.0, -2.0]) <= bound)
 
@@ -199,20 +205,20 @@ def test_frozen_noise_reproduces_draws_bitwise():
     rng = np.random.default_rng(9)
     mix = mx.ClassMixture(3, 4)
     mix.params["mu"].data[...] = rng.standard_normal((3, 4))
-    d1, noise = mx.sample_mixture(mix, tau=0.5, n=8, rng=rng)
-    d2, _ = mx.sample_mixture(mix, tau=0.5, n=8, noise=noise)
+    d1, noise = sample_mixture(mix, tau=0.5, n=8, rng=rng)
+    d2, _ = sample_mixture(mix, tau=0.5, n=8, noise=noise)
     np.testing.assert_array_equal(d1.data, d2.data)
 
 
 def test_sample_mixture_validates_arguments():
     mix = mx.ClassMixture(2, 2)
     with pytest.raises(ValueError):
-        mx.sample_mixture(mix, tau=0.5, n=0, rng=np.random.default_rng(0))
+        sample_mixture(mix, tau=0.5, n=0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        mx.sample_mixture(mix, tau=0.5, n=4)  # no rng, no noise
-    bad = mx.draw_mixture_noise(3, 2, 2, np.random.default_rng(0))
+        sample_mixture(mix, tau=0.5, n=4)  # no rng, no noise
+    bad = draw_mixture_noise(3, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        mx.sample_mixture(mix, tau=0.5, n=4, noise=bad)
+        sample_mixture(mix, tau=0.5, n=4, noise=bad)
 
 
 # --------------------------------------------------- conjugate potential
@@ -223,7 +229,7 @@ def test_conjugate_single_atom_closed_form():
     phi = mx.DualPotential(3, seed=4)
     z0 = rng.standard_normal((1, 3))
     zt = rng.standard_normal((5, 3))
-    got = mx.phi_tilde(Tensor(zt), Tensor(z0), phi, epsilon=0.7)
+    got = phi_tilde(Tensor(zt), Tensor(z0), phi, epsilon=0.7)
     want = ((zt - z0) ** 2).sum(axis=1) - phi.forward(Tensor(z0)).data[0]
     np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-10)
 
@@ -234,7 +240,7 @@ def test_conjugate_vanishes_on_batch_points_at_small_epsilon():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((5, 2))
     phi = zeroed_potential(2)
-    vals = mx.phi_tilde(Tensor(z.copy()), Tensor(z), phi, epsilon=1e-3)
+    vals = phi_tilde(Tensor(z.copy()), Tensor(z), phi, epsilon=1e-3)
     assert np.all(np.abs(vals.data) <= 0.01)
 
 
@@ -244,7 +250,7 @@ def test_conjugate_matches_naive_formula():
     zt = rng.standard_normal((4, 3))
     phi = mx.DualPotential(3, seed=1)
     eps = 0.7
-    got = mx.phi_tilde(Tensor(zt), Tensor(z), phi, eps).data
+    got = phi_tilde(Tensor(zt), Tensor(z), phi, eps).data
     pv = phi.forward(Tensor(z)).data
     naive = np.array(
         [
@@ -259,9 +265,9 @@ def test_conjugate_rejects_empty_batch_and_bad_epsilon():
     phi = mx.DualPotential(2, seed=0)
     zt = Tensor(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        mx.phi_tilde(zt, Tensor(np.zeros((0, 2))), phi, epsilon=1.0)
+        phi_tilde(zt, Tensor(np.zeros((0, 2))), phi, epsilon=1.0)
     with pytest.raises(ValueError):
-        mx.phi_tilde(zt, Tensor(np.ones((2, 2))), phi, epsilon=0.0)
+        phi_tilde(zt, Tensor(np.ones((2, 2))), phi, epsilon=0.0)
 
 
 # ------------------------------------------------------- dual objective
@@ -275,7 +281,7 @@ def test_dual_objective_single_atom_composition():
     mix = degenerate_mixture(mu, np.array([1.0]))
     phi = zeroed_potential(2)
     cfg = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=16)
-    val = mx.dual_objective(Tensor(z0), mix, phi, cfg, rng=np.random.default_rng(0))
+    val = dual_objective(Tensor(z0), mix, phi, cfg, rng=np.random.default_rng(0))
     want = ((z0 - mu) ** 2).sum()
     np.testing.assert_allclose(val.item(), want, rtol=1e-10)
 
@@ -285,7 +291,7 @@ def test_dual_objective_identical_atoms_is_zero():
     mix = degenerate_mixture(a, np.array([1.0]))
     phi = zeroed_potential(3)
     cfg = mx.OtmmConfig(epsilon=1.0, tau=0.5, n_mix_samples=8)
-    val = mx.dual_objective(Tensor(a), mix, phi, cfg, rng=np.random.default_rng(0))
+    val = dual_objective(Tensor(a), mix, phi, cfg, rng=np.random.default_rng(0))
     assert abs(val.item()) <= 1e-10
 
 
@@ -294,12 +300,12 @@ def test_dual_objective_default_draw_count_is_batch_size():
     z = rng.standard_normal((5, 2))
     mix = mx.ClassMixture(2, 2)
     phi = mx.DualPotential(2, seed=0)
-    noise = mx.draw_mixture_noise(5, 2, 2, rng)  # matches batch size
+    noise = draw_mixture_noise(5, 2, 2, rng)  # matches batch size
     cfg = mx.OtmmConfig(epsilon=1.0, n_mix_samples=None)
-    mx.dual_objective(Tensor(z), mix, phi, cfg, noise=noise)  # accepts
+    dual_objective(Tensor(z), mix, phi, cfg, noise=noise)  # accepts
     with pytest.raises(ValueError):
         bad = mx.OtmmConfig(epsilon=1.0, n_mix_samples=7)
-        mx.dual_objective(Tensor(z), mix, phi, bad, noise=noise)
+        dual_objective(Tensor(z), mix, phi, bad, noise=noise)
 
 
 def test_dual_objective_mixture_gradients_pass_finite_differences():
@@ -311,10 +317,10 @@ def test_dual_objective_mixture_gradients_pass_finite_differences():
     mix.params["log_sigma"].data[...] = np.log(0.7)
     phi = mx.DualPotential(3, seed=2)
     cfg = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=6)
-    noise = mx.draw_mixture_noise(6, 2, 3, rng)
+    noise = draw_mixture_noise(6, 2, 3, rng)
 
     def loss():
-        return mx.dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
+        return dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
 
     assert finite_diff_check(loss, mix.params) <= 1e-4
 
@@ -352,10 +358,10 @@ def test_update_phi_frozen_noise_ascent_improves_objective():
     mix.params["mu"].data[...] = rng.standard_normal((2, 2)) + 2.0
     phi = mx.DualPotential(2, seed=5)
     cfg = mx.OtmmConfig(epsilon=1.0, tau=0.5, n_phi_steps=50, lr_phi=0.01, n_mix_samples=8)
-    noise = mx.draw_mixture_noise(8, 2, 2, rng)
-    before = mx.dual_objective(z, mix, phi, cfg, noise=noise).item()
+    noise = draw_mixture_noise(8, 2, 2, rng)
+    before = dual_objective(z, mix, phi, cfg, noise=noise).item()
     step_alone("phi", z.data, mix, phi, cfg, noise=noise)
-    after = mx.dual_objective(z, mix, phi, cfg, noise=noise).item()
+    after = dual_objective(z, mix, phi, cfg, noise=noise).item()
     assert after >= before
 
 
@@ -523,14 +529,14 @@ def random_problem(k: int, n: int, n_mix_samples, seed: int = 0, hidden: int = 6
     mix.params["log_sigma"].data[...] = np.log(rng.uniform(0.3, 1.0, (k, dim)))
     phi = mx.DualPotential(dim, seed=seed + 1, hidden=hidden)
     cfg = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=n_mix_samples)
-    noise = mx.draw_mixture_noise(n_mix_samples or n, k, dim, rng)
+    noise = draw_mixture_noise(n_mix_samples or n, k, dim, rng)
     return z, mix, phi, cfg, noise
 
 
 def stacked_value_and_grads(z, mix, phi, cfg, noise):
     """Both phases' first-step values and gradients from the stacked step,
     for a group of one class with frozen noise."""
-    group = mx.ClassGroup([0], [z], [mix], [phi], cfg, noise=noise)
+    group = frozen_noise_group(z, mix, phi, cfg, noise)
     x = mx.stacked_draws(group.mixture, cfg.tau, *group.phi_noise)[0][0]
     phi_value = mx.phi_gradient(group, cfg, x)[0]
     p = phi.forward(Tensor(z)).data[None]
@@ -559,7 +565,7 @@ def assert_matches_autodiff(z, mix, phi, cfg, noise):
     the value and the mean squared feature norm, the scale the cancelling
     distance terms carry.
     """
-    value = mx.dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
+    value = dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
     ad.backward(value)
     want_phi = {name: t.grad for name, t in phi.params.items()}
     want_mix = {name: t.grad for name, t in mix.params.items()}

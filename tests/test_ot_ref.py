@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from otcl.ot_ref import (
+from oracles.ot_ref import (
     ConvergenceError,
     DiscreteMeasure,
     entropic_primal_value,
