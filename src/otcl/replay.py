@@ -7,9 +7,11 @@ so far owns an equal quota, floor(capacity / classes_seen); quotas shrink as
 classes accumulate, and over-quota classes are trimmed by uniform random
 eviction so the total never exceeds the budget after any public operation.
 
-Each class maps to a list of its stored rows. Every stored row is its own
-copy, so it never keeps the batch it came from alive. Insertions take
-single-class `Batch`es; a replay draw comes back as one `Batch` per class.
+The rows live in one `(capacity, dim)` array, allocated at the first write
+in that batch's width and dtype. Each class maps to the slot indices of its
+rows in store order; a slot no class holds is free. Stored rows are copies,
+never views of the batch they came from. Insertions take single-class
+`Batch`es; a replay draw comes back as one `Batch` per class.
 
 Insertion is centroid-aware: for every mixture centroid of the incoming
 class, the closest batch samples in feature space are kept, which spreads
@@ -19,9 +21,6 @@ as an ablation.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +34,9 @@ class ReplayMemory:
         if capacity < 1:
             raise ValueError("capacity must be a positive sample count")
         self.capacity = capacity
-        self.store: dict[int, list[np.ndarray]] = {}  # class -> 1-D rows
+        self.rows: np.ndarray | None = None  # (capacity, dim), at the first write
+        self.slots: dict[int, np.ndarray] = {}  # class -> its slots, in store order
+        self._used = np.zeros(capacity, dtype=bool)  # slot holds a class's row
         self.classes_seen = 0
         self._rng = np.random.default_rng(seed)
 
@@ -46,29 +47,36 @@ class ReplayMemory:
         return self.capacity // self.classes_seen
 
     def total(self) -> int:
-        return sum(len(v) for v in self.store.values())
+        return sum(s.size for s in self.slots.values())
 
     def register_class(self, class_id: int) -> None:
         """Track a class (creating its slot) and re-trim if quotas shrank."""
-        if class_id not in self.store:
-            self.store[class_id] = []
-        if len(self.store) > self.classes_seen:
-            self.classes_seen = len(self.store)
+        if class_id not in self.slots:
+            self.slots[class_id] = np.empty(0, dtype=np.intp)
+        if len(self.slots) > self.classes_seen:
+            self.classes_seen = len(self.slots)
             self._trim_to_quota()
 
     def _trim_to_quota(self) -> None:
         q = self.quota()
-        for c, rows in self.store.items():
-            excess = len(rows) - q
-            if excess > 0:
-                keep = self._rng.choice(len(rows), size=q, replace=False)
-                self.store[c] = [rows[i] for i in sorted(keep)]
+        for c, s in self.slots.items():
+            if s.size > q:
+                keep = self._rng.choice(s.size, size=q, replace=False)
+                self._used[np.delete(s, keep)] = False
+                self.slots[c] = s[np.sort(keep)]
 
 
-def _single_class_of(batch: Batch) -> int:
+def _checked_class(mem: ReplayMemory, batch: Batch, features=None, centroids=None) -> int:
+    """The batch's one class, checked before it registers: a rejected call changes nothing."""
     labels = np.unique(batch.labels)
     if labels.size != 1:
         raise ValueError("insertion expects a single-class batch")
+    if mem.rows is not None and batch.features.shape[1:] != mem.rows.shape[1:]:
+        raise ValueError("batch rows must have the width of the stored rows")
+    if features is not None and (
+        features.shape[0] != len(batch) or features.shape[1:] != centroids.shape[1:]
+    ):
+        raise ValueError("features must align with the batch rows and match the centroids' width")
     return int(labels[0])
 
 
@@ -89,22 +97,22 @@ def _select_closest_per_centroid(
     return chosen
 
 
-def _store_selected(mem: ReplayMemory, c: int, batch: Batch, selected: list[int]) -> None:
+def _store_selected(mem: ReplayMemory, c: int, batch: Batch, selected) -> None:
     """Append what fits under class c's quota; replace random old c rows with the rest."""
-    rows = mem.store[c]
-    fresh = [batch.features[i].copy() for i in selected]
-    free = max(0, mem.quota() - len(rows))
-    rows.extend(fresh[:free])
-    leftover = fresh[free:]
-    if not leftover:
-        return
-    n_old = len(rows) - len(fresh[:free])  # entries that predate this call
-    n_replace = min(len(leftover), n_old)
-    if n_replace == 0:
-        return
-    victims = mem._rng.choice(n_old, size=n_replace, replace=False)
-    for v, new in zip(victims, leftover[:n_replace]):
-        rows[int(v)] = new
+    fresh = batch.features[selected]
+    if mem.rows is None:
+        mem.rows = np.zeros((mem.capacity,) + fresh.shape[1:], dtype=fresh.dtype)
+    old = mem.slots[c]  # entries that predate this call
+    n_new = min(max(0, mem.quota() - old.size), len(fresh))
+    if n_new > 0:
+        new = np.flatnonzero(~mem._used)[:n_new]
+        mem._used[new] = True
+        mem.rows[new] = fresh[:n_new]
+        mem.slots[c] = np.concatenate([old, new])
+    n_replace = min(len(fresh) - n_new, old.size)
+    if n_replace > 0:
+        victims = mem._rng.choice(old.size, size=n_replace, replace=False)
+        mem.rows[old[victims]] = fresh[n_new : n_new + n_replace]
 
 
 def insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
@@ -112,14 +120,11 @@ def insertion_budget(mem: ReplayMemory, class_id: int, k: int) -> int:
     split across k centroids, at least one each. Registers the class first,
     so a new class is budgeted under the quota that counts it."""
     mem.register_class(class_id)
-    return max(1, (mem.quota() - len(mem.store[class_id])) // k)
+    return max(1, (mem.quota() - mem.slots[class_id].size) // k)
 
 
 def insert_with_centroids(
-    mem: ReplayMemory,
-    batch: Batch,
-    features: np.ndarray,
-    centroids: np.ndarray,
+    mem: ReplayMemory, batch: Batch, features: np.ndarray, centroids: np.ndarray
 ) -> ReplayMemory:
     """Store the batch samples closest to each class centroid.
 
@@ -132,24 +137,20 @@ def insert_with_centroids(
     """
     if len(batch) == 0:
         return mem
-    c = _single_class_of(batch)
+    c = _checked_class(mem, batch, features, centroids)
     n_per_centroid = insertion_budget(mem, c, centroids.shape[0])  # registers c
     if mem.quota() == 0:
         return mem
-    if features.shape[0] != len(batch):
-        raise ValueError("features must align with the batch rows")
     selected = _select_closest_per_centroid(features, centroids, n_per_centroid)
     _store_selected(mem, c, batch, selected)
     return mem
 
 
-def insert_random(
-    mem: ReplayMemory, batch: Batch, n_samples: int
-) -> ReplayMemory:
+def insert_random(mem: ReplayMemory, batch: Batch, n_samples: int) -> ReplayMemory:
     """Ablation path: store n uniformly chosen batch rows, same budget rules."""
     if len(batch) == 0:
         return mem
-    c = _single_class_of(batch)
+    c = _checked_class(mem, batch)
     mem.register_class(c)
     if mem.quota() == 0:
         return mem
@@ -157,7 +158,7 @@ def insert_random(
     if n < 1:
         return mem
     picked = mem._rng.choice(len(batch), size=n, replace=False)
-    _store_selected(mem, c, batch, [int(i) for i in sorted(picked)])
+    _store_selected(mem, c, batch, np.sort(picked))
     return mem
 
 
@@ -171,26 +172,18 @@ def sample_replay_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    classes = sorted(mem.store)
-    ends = list(accumulate(len(mem.store[c]) for c in classes))
-    total = ends[-1] if ends else 0
+    total = mem.total()
     if total == 0:
         return {}
-    picked = rng.choice(total, size=min(batch_size, total), replace=False)
-    # the picks index every stored row in ascending class order: pick i
-    # falls in the first class k whose cumulative count exceeds i
-    by_class: dict[int, list[np.ndarray]] = {}
-    for i in sorted(picked.tolist()):
-        k = bisect_right(ends, i)
-        rows = mem.store[classes[k]]
-        start = ends[k] - len(rows)
-        by_class.setdefault(classes[k], []).append(rows[i - start])
+    # the picks index every stored row in ascending class order
+    classes = sorted(mem.slots)
+    picked = np.sort(rng.choice(total, size=min(batch_size, total), replace=False))
+    rows = mem.rows[np.concatenate([mem.slots[c] for c in classes])[picked]]
+    ends = np.searchsorted(picked, np.cumsum([mem.slots[c].size for c in classes])).tolist()
     return {
-        c: Batch(
-            features=np.stack(rows),
-            labels=np.full(len(rows), c, dtype=np.int64),
-        )
-        for c, rows in sorted(by_class.items())
+        c: Batch(features=rows[a:b], labels=np.full(b - a, c, dtype=np.int64))
+        for c, a, b in zip(classes, [0] + ends, ends)
+        if b > a
     }
 
 
@@ -207,7 +200,7 @@ def merge_class_batches(grouped: dict[int, Batch]) -> Batch | None:
 
 def rebalance_quotas(mem: ReplayMemory, num_classes: int) -> ReplayMemory:
     """Recompute equal quotas for a grown class count and trim the excess."""
-    if num_classes < len(mem.store):
+    if num_classes < len(mem.slots):
         raise ValueError("class count cannot be below the classes already stored")
     if num_classes > mem.classes_seen:
         mem.classes_seen = num_classes

@@ -19,7 +19,8 @@ def class_batch(c: int, features: np.ndarray) -> Batch:
 
 
 def stored_features(mem: rp.ReplayMemory, c: int) -> np.ndarray:
-    return np.stack(mem.store[c])
+    """Class c's stored rows in store order (no rows before the first write)."""
+    return mem.rows[mem.slots[c]] if mem.rows is not None else np.empty((0, 0))
 
 
 def fill(mem: rp.ReplayMemory, batch: Batch) -> None:
@@ -30,7 +31,7 @@ def fill(mem: rp.ReplayMemory, batch: Batch) -> None:
 
 
 def stored_counts(mem: rp.ReplayMemory) -> dict[int, int]:
-    return {c: len(v) for c, v in sorted(mem.store.items())}
+    return {c: s.size for c, s in sorted(mem.slots.items())}
 
 
 # ------------------------------------------------------------- insertion
@@ -231,7 +232,7 @@ def test_memory_evolution_is_deterministic_under_a_seed():
             rows = rng.normal(size=(5, 2))
             rp.insert_with_centroids(mem, class_batch(c, rows), rows,
                                      rng.normal(size=(2, 2)))
-        return {c: stored_features(mem, c) for c in mem.store if mem.store[c]}
+        return {c: stored_features(mem, c) for c in mem.slots if mem.slots[c].size}
 
     a, b = evolve(), evolve()
     assert sorted(a) == sorted(b)
@@ -269,13 +270,14 @@ def test_capacity_and_labels_hold_under_arbitrary_operation_sequences(ops, capac
         elif kind == "insert_random":
             rp.insert_random(mem, class_batch(c, rows), n_samples=n)
         elif kind == "rebalance":
-            rp.rebalance_quotas(mem, max(len(mem.store), c + 1))
+            rp.rebalance_quotas(mem, max(len(mem.slots), c + 1))
         else:
             got = rp.sample_replay_batch(mem, n, rng)
             for cls, b in got.items():
                 assert np.all(b.labels == cls)
         assert mem.total() <= capacity
-        for cls, stored in mem.store.items():
+        for cls in mem.slots:
+            stored = stored_features(mem, cls)
             assert len(stored) <= mem.quota()
             # every stored row was inserted under its own class
             assert all(r.tobytes() in inserted[cls] for r in stored)
@@ -358,9 +360,10 @@ class NaiveMemory:
 
 
 def assert_same_store(mem: rp.ReplayMemory, naive: NaiveMemory) -> None:
-    assert list(mem.store) == list(naive.store)
+    assert list(mem.slots) == list(naive.store)
     assert mem.classes_seen == naive.classes_seen
-    for c, rows in mem.store.items():
+    for c in mem.slots:
+        rows = stored_features(mem, c)
         want = naive.store[c]
         assert len(rows) == len(want)
         for row, s in zip(rows, want):
@@ -405,7 +408,36 @@ def test_row_store_matches_the_list_of_samples_store(trial):
 
 def test_stored_rows_are_copies_that_do_not_keep_the_batch_alive():
     mem = rp.ReplayMemory(capacity=4)
-    rows = np.arange(12, dtype=float).reshape(6, 2)
-    fill(mem, class_batch(0, rows))
-    for r in mem.store[0]:
-        assert r.base is None and not np.shares_memory(r, rows)
+    batch = class_batch(0, np.arange(12, dtype=float).reshape(6, 2))
+    fill(mem, batch)
+    before = stored_features(mem, 0).copy()
+    assert not np.shares_memory(mem.rows, batch.features)
+    batch.features[:] = -1.0  # the batch is written after insertion
+    np.testing.assert_array_equal(stored_features(mem, 0), before)
+    drawn = rp.sample_replay_batch(mem, 4, np.random.default_rng(0))[0]
+    drawn.features[:] = -2.0  # and so is a replay draw
+    np.testing.assert_array_equal(stored_features(mem, 0), before)
+
+
+@pytest.mark.parametrize("bad_call", [
+    # 2 feature rows for 3 batch rows of a new class
+    lambda mem: rp.insert_with_centroids(
+        mem, class_batch(1, np.zeros((3, 1))), np.zeros((2, 1)), np.zeros((1, 1))),
+    # features 2 wide against centroids 3 wide
+    lambda mem: rp.insert_with_centroids(
+        mem, class_batch(1, np.zeros((3, 1))), np.zeros((3, 2)), np.zeros((1, 3))),
+    # batch rows 2 wide against the stored rows' 1
+    lambda mem: rp.insert_with_centroids(
+        mem, class_batch(1, np.zeros((3, 2))), np.zeros((3, 1)), np.zeros((1, 1))),
+    lambda mem: rp.insert_random(mem, class_batch(1, np.zeros((3, 2))), 2),
+], ids=["feature-rows", "feature-width", "row-width", "random-row-width"])
+def test_a_rejected_insertion_leaves_the_memory_untouched(bad_call):
+    mem = rp.ReplayMemory(capacity=4, seed=9)
+    fill(mem, class_batch(0, np.arange(4, dtype=float).reshape(4, 1)))  # class 0 full
+    untouched = copy.deepcopy(mem)
+    with pytest.raises(ValueError):
+        bad_call(mem)
+    assert stored_counts(mem) == stored_counts(untouched) == {0: 4}
+    np.testing.assert_array_equal(stored_features(mem, 0), stored_features(untouched, 0))
+    assert mem.classes_seen == untouched.classes_seen == 1
+    assert mem._rng.random() == untouched._rng.random()
