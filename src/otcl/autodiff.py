@@ -1,23 +1,19 @@
-"""Reverse-mode autodiff over dense float64 numpy arrays.
+"""Trainable parameters and the reverse-mode graph core over float64 arrays.
 
-The op set is deliberately closed: matrix products and transposes, ReLU,
-elementwise add/sub/neg/mul/scale/exp, reshapes, reductions
-(sum/mean/logsumexp/softmax), a one-column-per-row gather, row concatenation
-and pairwise squared distances. Every loss in this package is a composition
-of these, so gradients can be checked coordinate-by-coordinate against
-central finite differences. Stochastic inputs (Gumbel and Gaussian draws)
-enter the graph as constants, which keeps backward deterministic.
+`ParamSet` holds every trainable array as a `Tensor` leaf with its gradient
+buffer and takes the checked SGD step, at one rate or at a rate per
+parameter; `ParamSet.union` steps several sets as one. The step computes and
+checks each new value in the gradient buffer, one cache-sized block at a
+time, then swaps the two buffers and zeroes the new gradient. A non-finite
+value raises `NumericsError`.
 
 Training builds no graph: the transport step (`mixture`) and the
 preservation step (`losses`, `model`) compute their gradients in closed form
-on numpy arrays. The graphs of their losses, built from these primitives,
-are the oracles the tests hold them to; they live in `tests/oracles/`, with
-the central-difference check `finite_diff_check`. `ParamSet` holds every
-trainable array with its gradient buffer and takes the checked SGD step, at
-one rate or at a rate per parameter; `ParamSet.union` steps several sets as
-one. The step
-computes and checks each new value in the gradient buffer, one cache-sized
-block at a time, then swaps the two buffers and zeroes the new gradient.
+on numpy arrays. The graph core here is what `MLP.forward` (`add`, `matmul`,
+`relu`) and `DualPotential.forward` (`reshape`) are built from, plus
+`backward`. The rest of the op set, and the graph-built losses and transport
+objective that the closed forms are held to, live with the test oracles in
+`tests/oracles/`.
 """
 
 from __future__ import annotations
@@ -96,33 +92,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, _parents=(a, b))
-    out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, _parents=(a,))
-    out._vjp = lambda g: (-g,)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, _parents=(a, b))
-    out._vjp = lambda g: (
-        _unbroadcast(g * b.data, a.shape),
-        _unbroadcast(g * a.data, b.shape),
-    )
-    return out
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s, _parents=(a,))
-    out._vjp = lambda g: (g * s,)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
@@ -134,12 +103,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, _parents=(a,))
-    out._vjp = lambda g: (g.T,)
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0), _parents=(a,))
@@ -147,122 +110,9 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.data)
-    out = Tensor(val, _parents=(a,))
-    out._vjp = lambda g: (g * val,)
-    return out
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), _parents=(a,))
     out._vjp = lambda g: (g.reshape(a.shape),)
-    return out
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    out._vjp = vjp
-    return out
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    if n == 0:
-        raise ValueError("empty reduction")
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def logsumexp(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    """Stable log-sum-exp; exact for a single element, safe up to |x| ~ 1e300."""
-    if a.data.size == 0:
-        raise ValueError("empty reduction")
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.data - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    val = m + np.log(total)
-    soft = shifted / total
-    if not keepdims:
-        val = val.reshape(()) if axis is None else np.squeeze(val, axis=axis)
-    out = Tensor(val, _parents=(a,))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
-
-    out._vjp = vjp
-    return out
-
-
-def softmax(a: Tensor, axis=-1) -> Tensor:
-    """Shift-invariant softmax along `axis`; outputs are strictly positive."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(a,))
-
-    def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
-
-    out._vjp = vjp
-    return out
-
-
-def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """Pick one column per row of a 2-D tensor: out[i] = a[i, index[i]]."""
-    index = np.asarray(index, dtype=np.int64)
-    rows_idx = np.arange(a.shape[0])
-    out = Tensor(a.data[rows_idx, index], _parents=(a,))
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows_idx, index), g)
-        return (ga,)
-
-    out._vjp = vjp
-    return out
-
-
-def concat_rows(*tensors: Tensor) -> Tensor:
-    """Concatenate 2-D tensors along axis 0; backward splits the cotangent."""
-    if not tensors:
-        raise ValueError("nothing to concatenate")
-    if any(t.data.ndim != 2 for t in tensors):
-        raise ValueError("concat_rows expects 2-D operands")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0), _parents=tensors)
-    sizes = [t.shape[0] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[bounds[i] : bounds[i + 1]] for i in range(len(sizes)))
-
-    out._vjp = vjp
-    return out
-
-
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """Squared Euclidean distances between row sets: out[i, j] = ||a_i - b_j||^2.
-
-    Computed from explicit differences rather than the dot-product identity so
-    small distances stay exact; operand sizes here are batch-scale.
-    """
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    out = Tensor(np.einsum("nmd,nmd->nm", diff, diff), _parents=(a, b))
-
-    def vjp(g):
-        ga = 2.0 * np.einsum("nm,nmd->nd", g, diff) if a.requires_grad else None
-        gb = -2.0 * np.einsum("nm,nmd->md", g, diff) if b.requires_grad else None
-        return (ga, gb)
-
-    out._vjp = vjp
     return out
 
 
@@ -276,10 +126,11 @@ def backward(loss: Tensor) -> None:
     A primitive's vjp returns None for an operand that needs no gradient
     (an input batch, a constant), which is skipped.
 
-    The loss must be scalar and built from the primitives above; anything
-    else in the graph simply does not exist, so unsupported structures fail
-    at construction time rather than here. Leaves not reachable from the
-    loss keep their accumulators untouched.
+    The loss must be scalar and built from graph ops (the primitives above
+    or the oracles' `graph` module); an op that does not exist cannot enter
+    the graph, so unsupported structures fail at construction time rather
+    than here. Leaves not reachable from the loss keep their accumulators
+    untouched.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -361,7 +212,7 @@ class ParamSet:
             raise ValueError(f"duplicate parameter name: {name}")
         arr = np.array(value, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise NumericsError(f"non-finite initial value for parameter {name!r}")
+            raise NumericsError(f"non-finite initial value for parameter {name!r}", param=name)
         t = Tensor(arr, requires_grad=True)
         self._params[name] = t
         return t
@@ -427,4 +278,3 @@ class ParamSet:
         for t in self._params.values():
             t.data, t.grad = t.grad, t.data
             t.grad.fill(0.0)
-

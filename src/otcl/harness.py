@@ -104,12 +104,16 @@ class RunConfig:
             raise ValueError("memory_size must be at least 1")
         if self.n_centroids < 1:
             raise ValueError("need at least one centroid per class")
+        if self.feat_dim < 1 or self.hidden_dim < 1:
+            raise ValueError("feat_dim and hidden_dim must be at least 1")
         if self.num_tasks < 1 or self.classes_per_task < 1:
             raise ValueError("task layout must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("run seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError("run seeds must be non-negative")
 
 
 class AccMatrix:
@@ -393,6 +397,12 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
     matrices: dict[int, AccMatrix] = {}
     per_seed: dict[str, dict] = {}
 
+    def record(**outcome) -> dict:
+        """The summary both outcomes write, built when the run ends: a
+        failure adds the error, a finished run its means and stds."""
+        shared = {"config": _config_echo(cfg), "environment": _environment(), "per_seed": per_seed}
+        return shared | outcome | {"wall_clock_seconds": time.time() - t0}
+
     def on_row(seed, task_idx, accs):
         for j, a in enumerate(accs):
             rows.append((seed, task_idx + 1, j + 1, a))
@@ -415,28 +425,17 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
             del learner  # its replay rows are not kept through the next seed's run
     except Exception as err:
         if cfg.out_dir:
-            failure = {
-                "config": _config_echo(cfg),
-                "environment": _environment(),
-                "per_seed": per_seed,
-                "error": repr(err),
-                "wall_clock_seconds": time.time() - t0,
-            }
-            _write_outputs(cfg.out_dir, rows, failure)
+            _write_outputs(cfg.out_dir, rows, record(error=repr(err)))
         raise
 
     a_vals = [v["avg_accuracy"] for v in per_seed.values()]
     f_vals = [v["avg_forgetting"] for v in per_seed.values() if v["avg_forgetting"] is not None]
-    summary = {
-        "config": _config_echo(cfg),
-        "environment": _environment(),
-        "per_seed": per_seed,
-        "mean_avg_accuracy": float(np.mean(a_vals)),
-        "std_avg_accuracy": float(np.std(a_vals)),
-        "mean_avg_forgetting": float(np.mean(f_vals)) if f_vals else None,
-        "std_avg_forgetting": float(np.std(f_vals)) if f_vals else None,
-        "wall_clock_seconds": time.time() - t0,
-    }
+    summary = record(
+        mean_avg_accuracy=float(np.mean(a_vals)),
+        std_avg_accuracy=float(np.std(a_vals)),
+        mean_avg_forgetting=float(np.mean(f_vals)) if f_vals else None,
+        std_avg_forgetting=float(np.std(f_vals)) if f_vals else None,
+    )
     if cfg.out_dir:
         _write_outputs(cfg.out_dir, rows, summary)
     return matrices, summary

@@ -1,11 +1,12 @@
 """Test oracles: reference implementations the shipped code is held to.
 
 Nothing under `src/` imports this package. `ot_ref` holds exact and Sinkhorn
-transport solvers. Here, on `otcl.autodiff` graphs: the central-difference
-check `finite_diff_check`, the preservation losses of `otcl.losses`, and the
-semi-dual transport objective of `otcl.mixture` with its frozen noise. The
-closed-form updates of `dynamic_preservation_step` and `otmm_step` are
-tested against `backward` of these graphs.
+transport solvers, and `graph` the reverse-mode op set. Here, on graphs of
+those ops: the central-difference check `finite_diff_check`, the
+preservation losses of `otcl.losses`, and the semi-dual transport objective
+of `otcl.mixture` with its frozen noise. The closed-form updates of
+`dynamic_preservation_step` and `otmm_step` are tested against `backward` of
+these graphs.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otcl import autodiff as ad
 from otcl.autodiff import ParamSet, Tensor
 from otcl.losses import _class_weights
 from otcl.mixture import ClassGroup, ClassMixture, DualPotential, OtmmConfig, _gumbel
 from otcl.model import ClassPrototypes
+
+from . import graph
 
 
 def finite_diff_check(loss_fn, params: ParamSet, h: float = 1e-5, tol: float = 1e-4) -> float:
@@ -32,7 +34,7 @@ def finite_diff_check(loss_fn, params: ParamSet, h: float = 1e-5, tol: float = 1
     if h <= 0:
         raise ValueError("step size must be positive")
     params.zero_grad()
-    ad.backward(loss_fn())
+    graph.backward(loss_fn())
     analytic = {name: t.grad.copy() for name, t in params.items()}
     params.zero_grad()
 
@@ -60,13 +62,13 @@ def stack_prototypes(protos: ClassPrototypes) -> Tensor:
     """Prototype matrix (classes, feat_dim) as a differentiable stack."""
     if not protos.class_ids:
         raise ValueError("no classes initialized")
-    return ad.concat_rows(*(protos.params[f"proto_{c}"] for c in protos.class_ids))
+    return graph.concat_rows(*(protos.params[f"proto_{c}"] for c in protos.class_ids))
 
 
 def class_logits(z: Tensor, protos: ClassPrototypes) -> Tensor:
     """Logit matrix (n, classes), column order = ascending class id."""
     w = stack_prototypes(protos)
-    return ad.matmul(z, ad.transpose(w))
+    return graph.matmul(z, graph.transpose(w))
 
 
 def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> Tensor:
@@ -83,8 +85,8 @@ def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> T
     col = {c: j for j, c in enumerate(known)}
     logits = class_logits(z, protos)
     true_col = np.array([col[int(c)] for c in labels])
-    nll = ad.sub(ad.logsumexp(logits, axis=1), ad.gather(logits, true_col))
-    return ad.tsum(ad.mul(nll, Tensor(_class_weights(labels))))
+    nll = graph.sub(graph.logsumexp(logits, axis=1), graph.gather(logits, true_col))
+    return graph.tsum(graph.mul(nll, Tensor(_class_weights(labels))))
 
 
 def loss_compression(z: Tensor, labels: np.ndarray, means: dict[int, np.ndarray]) -> Tensor:
@@ -105,11 +107,11 @@ def loss_compression(z: Tensor, labels: np.ndarray, means: dict[int, np.ndarray]
     col = {c: j for j, c in enumerate(present)}
     own_col = np.array([col[int(c)] for c in labels])
 
-    dists = ad.pairwise_sqdist(z, anchors)
-    own = ad.gather(dists, own_col)
-    repel = ad.logsumexp(ad.neg(dists), axis=1)
-    per_sample = ad.add(own, repel)
-    return ad.tsum(ad.mul(per_sample, Tensor(_class_weights(labels))))
+    dists = graph.pairwise_sqdist(z, anchors)
+    own = graph.gather(dists, own_col)
+    repel = graph.logsumexp(graph.neg(dists), axis=1)
+    per_sample = graph.add(own, repel)
+    return graph.tsum(graph.mul(per_sample, Tensor(_class_weights(labels))))
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,8 @@ def gumbel_softmax_sample(
         if rng is None:
             raise ValueError("provide rng or frozen gumbel noise")
         gumbel = draw_mixture_noise(1, k, 1, rng).gumbel[0]
-    log_pi = ad.sub(alpha, ad.logsumexp(alpha))
-    return ad.softmax(ad.scale(ad.add(log_pi, Tensor(gumbel)), 1.0 / tau), axis=-1)
+    log_pi = graph.sub(alpha, graph.logsumexp(alpha))
+    return graph.softmax(graph.scale(graph.add(log_pi, Tensor(gumbel)), 1.0 / tau), axis=-1)
 
 
 def sample_mixture(
@@ -183,15 +185,15 @@ def sample_mixture(
     noise = _draw_noise(n, k, d, rng, noise)
 
     alpha = mix.params["alpha"]
-    log_pi = ad.sub(alpha, ad.logsumexp(alpha))  # (K,)
-    y = ad.softmax(
-        ad.scale(ad.add(log_pi, Tensor(noise.gumbel)), 1.0 / tau), axis=1
+    log_pi = graph.sub(alpha, graph.logsumexp(alpha))  # (K,)
+    y = graph.softmax(
+        graph.scale(graph.add(log_pi, Tensor(noise.gumbel)), 1.0 / tau), axis=1
     )  # (n, K)
 
-    sigma = ad.exp(mix.params["log_sigma"])  # (K, d)
-    comps = ad.add(mix.params["mu"], ad.mul(Tensor(noise.gauss), sigma))  # (n, K, d)
-    weighted = ad.mul(ad.reshape(y, (n, k, 1)), comps)
-    return ad.tsum(weighted, axis=1), noise
+    sigma = graph.exp(mix.params["log_sigma"])  # (K, d)
+    comps = graph.add(mix.params["mu"], graph.mul(Tensor(noise.gauss), sigma))  # (n, K, d)
+    weighted = graph.mul(graph.reshape(y, (n, k, 1)), comps)
+    return graph.tsum(weighted, axis=1), noise
 
 
 def phi_tilde(z_tilde: Tensor, z_batch: Tensor, phi: DualPotential, epsilon: float) -> Tensor:
@@ -206,10 +208,10 @@ def phi_tilde(z_tilde: Tensor, z_batch: Tensor, phi: DualPotential, epsilon: flo
     n = z_batch.shape[0]
     if n == 0:
         raise ValueError("empty feature batch")
-    dists = ad.pairwise_sqdist(z_tilde, z_batch)  # (m, n)
-    inner = ad.scale(ad.add(ad.neg(dists), phi.forward(z_batch)), 1.0 / epsilon)
-    lse = ad.logsumexp(inner, axis=1)  # (m,)
-    return ad.add(ad.scale(lse, -epsilon), Tensor(epsilon * np.log(n)))
+    dists = graph.pairwise_sqdist(z_tilde, z_batch)  # (m, n)
+    inner = graph.scale(graph.add(graph.neg(dists), phi.forward(z_batch)), 1.0 / epsilon)
+    lse = graph.logsumexp(inner, axis=1)  # (m,)
+    return graph.add(graph.scale(lse, -epsilon), Tensor(epsilon * np.log(n)))
 
 
 def dual_objective(
@@ -228,9 +230,9 @@ def dual_objective(
         raise ValueError("empty feature batch")
     m = cfg.n_mix_samples or n
     draws, _ = sample_mixture(mix, cfg.tau, m, rng=rng, noise=noise)
-    return ad.add(
-        ad.tmean(phi.forward(z_batch)),
-        ad.tmean(phi_tilde(draws, z_batch, phi, cfg.epsilon)),
+    return graph.add(
+        graph.tmean(phi.forward(z_batch)),
+        graph.tmean(phi_tilde(draws, z_batch, phi, cfg.epsilon)),
     )
 
 

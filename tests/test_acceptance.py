@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-import otcl.autodiff as ad
+import oracles.graph as ad
 from oracles import (draw_mixture_noise, dual_objective, finite_diff_check, gumbel_softmax_sample,
                      loss_compression, loss_separation, phi_tilde)
 from oracles.ot_ref import DiscreteMeasure, exact_ot_uniform, sinkhorn_distance

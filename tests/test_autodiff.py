@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_check
+from oracles import finite_diff_check, graph
 from otcl import autodiff as ad
 from otcl.autodiff import ParamSet, Tensor
 
@@ -13,58 +13,80 @@ def naive_logsumexp(v):
     return float(np.log(np.sum(np.exp(np.asarray(v, dtype=np.float64)))))
 
 
+def test_package_keeps_only_the_graph_core_it_reaches():
+    """The public names of `otcl.autodiff`, each kept for a reason:
+    - `NumericsError` and `ParamSet`: the run path raises the one and takes
+      every trainable step through the other;
+    - `Tensor`: it holds the `ParamSet` leaves, and the benchmark hooks
+      `Tensor.__init__`;
+    - `backward`: the benchmark hooks it, and its CI smokes gate on a run
+      never calling it;
+    - `add`, `matmul` and `relu`: `MLP.forward` is built from them;
+    - `reshape`: `DualPotential.forward` is built from it.
+    Every other graph op serves only the test oracles, in `oracles.graph`,
+    which re-exports these so that an oracle reads every op from one module.
+    """
+    public = {
+        name for name, value in vars(ad).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == ad.__name__
+    }
+    core = {"Tensor", "add", "matmul", "relu", "reshape", "backward"}
+    assert public == core | {"NumericsError", "ParamSet"}
+    assert all(getattr(graph, name) is getattr(ad, name) for name in core)
+
+
 class TestLogsumexp:
     def test_two_zeros(self):
-        assert ad.logsumexp(Tensor([0.0, 0.0])).item() == pytest.approx(np.log(2.0), abs=1e-12)
+        assert graph.logsumexp(Tensor([0.0, 0.0])).item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("x", [-3.7, 0.0, 12.5, 1e300, -1e300])
     def test_single_element_exact(self, x):
-        assert ad.logsumexp(Tensor([x])).item() == x
+        assert graph.logsumexp(Tensor([x])).item() == x
 
     def test_matches_naive_float64(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = rng.uniform(-50.0, 50.0, size=100)
-            got = ad.logsumexp(Tensor(v)).item()
+            got = graph.logsumexp(Tensor(v)).item()
             want = naive_logsumexp(v)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_no_overflow_at_1e300(self):
         v = np.array([1e300, 1e300 - 1.0, -1e300])
-        out = ad.logsumexp(Tensor(v)).item()
+        out = graph.logsumexp(Tensor(v)).item()
         assert np.isfinite(out)
         assert out >= 1e300
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ad.logsumexp(Tensor(np.zeros(0)))
+            graph.logsumexp(Tensor(np.zeros(0)))
 
     def test_axis_reduction(self):
         m = np.arange(6.0).reshape(2, 3)
-        out = ad.logsumexp(Tensor(m), axis=1)
+        out = graph.logsumexp(Tensor(m), axis=1)
         want = [naive_logsumexp(m[0]), naive_logsumexp(m[1])]
         np.testing.assert_allclose(out.data, want, rtol=1e-14)
 
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        out = ad.softmax(Tensor([0.0, 0.0, 0.0])).data
+        out = graph.softmax(Tensor([0.0, 0.0, 0.0])).data
         np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=11)
-        base = ad.softmax(Tensor(v)).data
-        shifted = ad.softmax(Tensor(v + 123.456)).data
+        base = graph.softmax(Tensor(v)).data
+        shifted = graph.softmax(Tensor(v + 123.456)).data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_exponentiated_ratios(self):
-        out = ad.softmax(Tensor(np.log([1.0, 2.0, 3.0]))).data
+        out = graph.softmax(Tensor(np.log([1.0, 2.0, 3.0]))).data
         np.testing.assert_allclose(out, [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=16))
     def test_simplex_output(self, vals):
-        out = ad.softmax(Tensor(np.array(vals))).data
+        out = graph.softmax(Tensor(np.array(vals))).data
         assert np.all(out > 0)
         assert abs(out.sum() - 1.0) < 1e-12
 
@@ -73,38 +95,38 @@ class TestBackward:
     def test_quadratic_gradient_is_p(self):
         ps = ParamSet()
         p = ps.add("p", [1.5, -2.0, 0.25])
-        loss = ad.scale(ad.tsum(ad.mul(p, p)), 0.5)
-        ad.backward(loss)
+        loss = graph.scale(graph.tsum(graph.mul(p, p)), 0.5)
+        graph.backward(loss)
         np.testing.assert_allclose(p.grad, p.data, rtol=1e-15)
 
     def test_linear_gradient_is_coefficients(self):
         ps = ParamSet()
         p = ps.add("p", np.arange(4.0))
         a = np.array([3.0, -1.0, 0.5, 2.0])
-        loss = ad.tsum(ad.mul(Tensor(a), p))
-        ad.backward(loss)
+        loss = graph.tsum(graph.mul(Tensor(a), p))
+        graph.backward(loss)
         np.testing.assert_allclose(p.grad, a, rtol=1e-15)
 
     def test_gradients_accumulate_across_backward_calls(self):
         ps = ParamSet()
         p = ps.add("p", [2.0])
         for _ in range(3):
-            ad.backward(ad.scale(ad.tsum(ad.mul(p, p)), 0.5))
+            graph.backward(graph.scale(graph.tsum(graph.mul(p, p)), 0.5))
         np.testing.assert_allclose(p.grad, [6.0])
 
     def test_shared_subexpression_counted_once_per_path(self):
         # loss = sum((p + p) * p) = 2 p^2  →  grad = 4 p
         ps = ParamSet()
         p = ps.add("p", [1.0, -3.0])
-        s = ad.add(p, p)
-        ad.backward(ad.tsum(ad.mul(s, p)))
+        s = graph.add(p, p)
+        graph.backward(graph.tsum(graph.mul(s, p)))
         np.testing.assert_allclose(p.grad, 4.0 * p.data, rtol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
         ps = ParamSet()
         p = ps.add("p", [1.0, 2.0])
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.mul(p, p))
+            graph.backward(graph.mul(p, p))
 
     def test_matmul_relu_chain_finite_diff(self):
         rng = np.random.default_rng(7)
@@ -114,8 +136,8 @@ class TestBackward:
         x = Tensor(rng.normal(size=(5, 4)))
 
         def loss_fn():
-            h = ad.relu(ad.add(ad.matmul(x, w), b))
-            return ad.tsum(ad.mul(h, h))
+            h = graph.relu(graph.add(graph.matmul(x, w), b))
+            return graph.tsum(graph.mul(h, h))
 
         assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
 
@@ -125,8 +147,8 @@ class TestBackward:
         z = ps.add("z", rng.normal(size=(3, 5)))
 
         def loss_fn():
-            s = ad.softmax(z, axis=1)
-            return ad.add(ad.tsum(ad.logsumexp(z, axis=1)), ad.tsum(ad.mul(s, s)))
+            s = graph.softmax(z, axis=1)
+            return graph.add(graph.tsum(graph.logsumexp(z, axis=1)), graph.tsum(graph.mul(s, s)))
 
         assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-7
 
@@ -138,14 +160,14 @@ class TestBackward:
         a = ps.add("a", a_np)
         b = ps.add("b", b_np)
 
-        d = ad.pairwise_sqdist(a, b)
+        d = graph.pairwise_sqdist(a, b)
         want = ((a_np[:, None, :] - b_np[None, :, :]) ** 2).sum(-1)
         np.testing.assert_allclose(d.data, want, rtol=1e-13)
 
         weights = Tensor(rng.normal(size=(4, 2)))
 
         def loss_fn():
-            return ad.tsum(ad.mul(ad.pairwise_sqdist(a, b), weights))
+            return graph.tsum(graph.mul(graph.pairwise_sqdist(a, b), weights))
 
         assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
@@ -156,7 +178,7 @@ class TestBackward:
         cols = np.array([0, 3, 1, 1, 2])
 
         def loss_fn():
-            return ad.tsum(ad.gather(ad.mul(m, m), cols))
+            return graph.tsum(graph.gather(graph.mul(m, m), cols))
 
         assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
@@ -174,7 +196,7 @@ class TestSgdStep:
         ps = ParamSet()
         p = ps.add("p", [1.0])
         for _ in range(2):
-            ad.backward(ad.scale(ad.tsum(ad.mul(p, p)), 0.5))
+            graph.backward(graph.scale(graph.tsum(graph.mul(p, p)), 0.5))
             ps.step(0.5)
         assert p.data[0] == pytest.approx(0.25, abs=1e-15)
 
@@ -358,7 +380,7 @@ class TestFiniteDiffCheck:
         p = ps.add("p", [0.3, -0.9, 2.0])
 
         def loss_fn():
-            return ad.scale(ad.tsum(ad.mul(p, p)), 0.5)
+            return graph.scale(graph.tsum(graph.mul(p, p)), 0.5)
 
         assert finite_diff_check(loss_fn, ps, h=1e-5) <= 1e-8
 
@@ -366,7 +388,7 @@ class TestFiniteDiffCheck:
         ps = ParamSet()
         ps.add("p", [1.0])
         with pytest.raises(ValueError):
-            finite_diff_check(lambda: ad.tsum(ps["p"]), ps, h=0.0)
+            finite_diff_check(lambda: graph.tsum(ps["p"]), ps, h=0.0)
 
     def test_detects_wrong_gradient(self):
         # a broken vjp must produce a large reported error, not a silent pass
@@ -390,8 +412,9 @@ class TestParamSet:
 
     def test_nonfinite_init_rejected(self):
         ps = ParamSet()
-        with pytest.raises(ad.NumericsError):
+        with pytest.raises(ad.NumericsError) as info:
             ps.add("w", [np.nan])
+        assert info.value.param == "w"
 
     def test_grad_shape_matches_param_shape(self):
         ps = ParamSet()

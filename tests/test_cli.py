@@ -234,6 +234,17 @@ def test_duplicate_seeds_are_config_error(toy_config, tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "flag", ["--feat-dim=0", "--hidden-dim=0", "--seeds=-1"], ids=["feat-dim", "hidden-dim", "seeds"]
+)
+def test_bad_config_value_is_config_error_before_any_output(flag, toy_config, tmp_path, capsys):
+    # rejected with the config, not once the data is loaded: nothing is written
+    out = tmp_path / "d"
+    assert main(["run", "--config", str(toy_config), flag, "--out-dir", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
 # ----------------------------------------------------------- gen-synth
 
 

@@ -353,6 +353,9 @@ def test_run_config_validation():
         RunConfig(dataset="synth", synth=None)  # synth data needs a spec
     with pytest.raises(ValueError):
         tiny_run_config(dataset="imagenet")
+    for bad in ({"feat_dim": 0}, {"hidden_dim": 0}, {"seeds": (0, -1)}):
+        with pytest.raises(ValueError):
+            tiny_run_config(**bad)
 
 
 def test_run_experiment_learns_separable_classes(tmp_path):
@@ -544,6 +547,37 @@ def test_summary_records_what_a_seed_reproduces_under(tmp_path, monkeypatch):
         assert env["threads"] == threads | {"MKL_NUM_THREADS": None}
         assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
 
+
+
+def test_summary_keys_in_order_for_both_outcomes(tmp_path, monkeypatch):
+    """A finished run's summary and a failed run's share their first three
+    keys; then come the means and stds, or the error, and the wall time."""
+    import otcl.harness as hz
+
+    shared = ["config", "environment", "per_seed"]
+    _, returned = run_experiment(tiny_run_config(out_dir=str(tmp_path / "ok")))
+    with open(tmp_path / "ok" / "summary.json") as fh:
+        written = json.load(fh)
+    finished = shared + [
+        "mean_avg_accuracy", "std_avg_accuracy", "mean_avg_forgetting", "std_avg_forgetting",
+        "wall_clock_seconds",
+    ]
+    assert list(returned) == list(written) == finished
+
+    real = hz._run_single_seed
+
+    def flaky(cfg, seed, train, test_batches, on_row):
+        if seed == 1:
+            raise ValueError("synthetic mid-run failure")
+        return real(cfg, seed, train, test_batches, on_row)
+
+    monkeypatch.setattr(hz, "_run_single_seed", flaky)
+    with pytest.raises(ValueError, match="mid-run failure"):
+        run_experiment(tiny_run_config(out_dir=str(tmp_path / "failed"), seeds=(0, 1)))
+    with open(tmp_path / "failed" / "summary.json") as fh:
+        failed = json.load(fh)
+    assert list(failed) == shared + ["error", "wall_clock_seconds"]
+    assert list(failed["per_seed"]) == ["0"]
 
 def test_summary_blas_is_null_where_numpy_cannot_report_it(monkeypatch):
     import otcl.harness as hz

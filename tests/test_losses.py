@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_diff_check, loss_compression, loss_separation
+from oracles import finite_diff_check, graph, loss_compression, loss_separation
 from otcl import autodiff as ad
 from otcl import losses as L
 from otcl.autodiff import NumericsError, Tensor
@@ -610,7 +610,7 @@ def matmul_all_cotangents(a, b):
 
 
 def pairwise_sqdist_all_cotangents(a, b):
-    """ad.pairwise_sqdist as it was before it skipped operands without
+    """graph.pairwise_sqdist as it was before it skipped operands without
     gradients."""
     diff = a.data[:, None, :] - b.data[None, :, :]
     out = Tensor(np.einsum("nmd,nmd->nm", diff, diff), _parents=(a, b))
@@ -636,11 +636,11 @@ def test_skipping_constant_operands_leaves_every_grad_bitwise_unchanged(monkeypa
     skipped = grads()
     first = ad.matmul(x, fe.params["w0"])
     assert first._vjp(np.ones(first.shape))[0] is None  # the input batch
-    dists = ad.pairwise_sqdist(fe.forward(x), Tensor(np.stack(list(means.values()))))
+    dists = graph.pairwise_sqdist(fe.forward(x), Tensor(np.stack(list(means.values()))))
     assert dists._vjp(np.ones(dists.shape))[1] is None  # the constant anchors
 
     monkeypatch.setattr(ad, "matmul", matmul_all_cotangents)
-    monkeypatch.setattr(ad, "pairwise_sqdist", pairwise_sqdist_all_cotangents)
+    monkeypatch.setattr(graph, "pairwise_sqdist", pairwise_sqdist_all_cotangents)
     assert grads() == skipped
 
 

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (draw_mixture_noise, dual_objective, finite_diff_check, frozen_noise_group,
-                     gumbel_softmax_sample, phi_tilde, sample_mixture)
+                     graph, gumbel_softmax_sample, phi_tilde, sample_mixture)
 from oracles.ot_ref import DiscreteMeasure, sinkhorn_distance
-from otcl import autodiff as ad
 from otcl import data as dt
 from otcl import mixture as mx
 from otcl import model
@@ -49,7 +48,7 @@ def reference_update_phi(z_batch, mix, phi, cfg, rng=None, noise=None):
         mix.params.zero_grad()
         value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
         trace.append(value.item())
-        ad.backward(ad.neg(value))  # ascend: descend the negation
+        graph.backward(graph.neg(value))  # ascend: descend the negation
         phi.params.step(cfg.lr_phi)
         mix.params.zero_grad()
     return trace
@@ -63,7 +62,7 @@ def reference_update_mixture(z_batch, mix, phi, cfg, rng=None, noise=None):
         mix.params.zero_grad()
         value = dual_objective(z_batch, mix, phi, cfg, rng=rng, noise=noise)
         trace.append(value.item())
-        ad.backward(value)
+        graph.backward(value)
         mix.params.step(cfg.lr_mix)
         phi.params.zero_grad()
     return trace
@@ -150,7 +149,8 @@ def test_gumbel_softmax_hard_assignment_frequencies_match_weights():
 def test_gumbel_softmax_gradient_wrt_logits():
     rng = np.random.default_rng(3)
     g = draw_mixture_noise(1, 4, 1, rng).gumbel[0]
-    from otcl.autodiff import ParamSet, tsum, mul
+    from oracles.graph import mul, tsum
+    from otcl.autodiff import ParamSet
 
     params = ParamSet()
     params.add("alpha", rng.standard_normal(4))
@@ -557,7 +557,7 @@ def gradient_rel_err(got: dict, want: dict) -> float:
 
 
 def assert_matches_autodiff(z, mix, phi, cfg, noise):
-    """Stacked values and gradients against ad.backward(dual_objective).
+    """Stacked values and gradients against graph.backward(dual_objective).
 
     The stacked step takes squared distances as |x|^2 + |z|^2 - 2 x.z, which
     rounds differently from the oracle's (x - z)^2: gradients agree to 1e-9
@@ -566,7 +566,7 @@ def assert_matches_autodiff(z, mix, phi, cfg, noise):
     distance terms carry.
     """
     value = dual_objective(Tensor(z), mix, phi, cfg, noise=noise)
-    ad.backward(value)
+    graph.backward(value)
     want_phi = {name: t.grad for name, t in phi.params.items()}
     want_mix = {name: t.grad for name, t in mix.params.items()}
     phi_value, phi_grads, mix_value, mix_grads = stacked_value_and_grads(z, mix, phi, cfg, noise)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import class_logits, finite_diff_check
-from otcl import autodiff as ad
+from oracles import class_logits, finite_diff_check, graph
 from otcl import model as m
 from otcl.autodiff import Tensor
 
@@ -39,7 +38,7 @@ class TestFeatureExtractor:
 
         def loss_fn():
             z = fe.forward(x)
-            return ad.tsum(ad.mul(z, z))
+            return graph.tsum(graph.mul(z, z))
 
         assert finite_diff_check(loss_fn, fe.params, h=1e-5) <= 1e-4
 
@@ -148,7 +147,7 @@ class TestClassPrototypes:
 
         def loss_fn():
             lg = class_logits(z, protos)
-            return ad.tsum(ad.mul(lg, lg))
+            return graph.tsum(graph.mul(lg, lg))
 
         assert finite_diff_check(loss_fn, protos.params, h=1e-5) <= 1e-6
 
