@@ -8,9 +8,10 @@ mixture centroid. At every task boundary the memory quotas are rebalanced
 (`end_task`) and every task seen so far is evaluated by nearest-centroid
 classification (`evaluate`), filling one row of the accuracy matrix.
 
-Everything is deterministic given the run seed, for a given numpy build and
-BLAS thread count: model init, stream shuffle, replay draws/evictions and
-mixture noise all derive from it through named seed sequences.
+Everything is deterministic given the run seed, for a given numpy build:
+model init, stream shuffle, replay draws/evictions and mixture noise all
+derive from it through named seed sequences, and `run_experiment` holds
+numpy's OpenBLAS at one thread, since results depend on the thread count.
 
 The data is loaded once per experiment as a (train, test) pair of `Batch`es.
 IDX pixels stay uint8 until a row enters the model: each seed's stream keeps
@@ -51,6 +52,7 @@ from .model import (
     ClassPrototypes,
     FeatureExtractor,
     load_checkpoint,
+    one_blas_thread,
     restore_params,
     save_checkpoint,
 )
@@ -114,6 +116,13 @@ class RunConfig:
             raise ValueError("run seeds must be distinct")
         if min(self.seeds) < 0:
             raise ValueError("run seeds must be non-negative")
+        if self.synth is not None and self.dataset == "synth":
+            layout = self.num_tasks * self.classes_per_task
+            if self.synth.num_classes != layout:
+                raise ValueError(
+                    f"{self.num_tasks} tasks x {self.classes_per_task} classes != "
+                    f"synth.num_classes {self.synth.num_classes}"
+                )
 
 
 class AccMatrix:
@@ -391,54 +400,61 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
     """Full multi-seed run. Returns the per-seed accuracy matrices and the
     summary dict; writes metrics.csv / summary.json / checkpoints when an
     output directory is configured. On failure the rows recorded so far are
-    still flushed before the error propagates."""
-    t0 = time.time()
-    rows: list[tuple[int, int, int, float]] = []
-    matrices: dict[int, AccMatrix] = {}
-    per_seed: dict[str, dict] = {}
+    still flushed before the error propagates.
 
-    def record(**outcome) -> dict:
-        """The summary both outcomes write, built when the run ends: a
-        failure adds the error, a finished run its means and stds."""
-        shared = {"config": _config_echo(cfg), "environment": _environment(), "per_seed": per_seed}
-        return shared | outcome | {"wall_clock_seconds": time.time() - t0}
+    The run holds numpy's OpenBLAS at one thread, whatever the environment
+    sets, and restores the count when it ends (`model.one_blas_thread`):
+    results depend on the thread count. The summary's environment records
+    `blas_threads_pinned`, 1 or None where the count could not be set."""
+    with one_blas_thread() as pinned:
+        t0 = time.time()
+        rows: list[tuple[int, int, int, float]] = []
+        matrices: dict[int, AccMatrix] = {}
+        per_seed: dict[str, dict] = {}
 
-    def on_row(seed, task_idx, accs):
-        for j, a in enumerate(accs):
-            rows.append((seed, task_idx + 1, j + 1, a))
+        def record(**outcome) -> dict:
+            """The summary both outcomes write, built when the run ends: a
+            failure adds the error, a finished run its means and stds."""
+            environment = _environment() | {"blas_threads_pinned": pinned}
+            shared = {"config": _config_echo(cfg), "environment": environment, "per_seed": per_seed}
+            return shared | outcome | {"wall_clock_seconds": time.time() - t0}
 
-    try:
-        # every seed streams the same data and is scored on the same split
-        train, test = _load_dataset(cfg)
-        test_batches = split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
-        del test  # split_tasks copied its rows; the seeds need only the split
-        for seed in cfg.seeds:
-            acc, learner = _run_single_seed(cfg, seed, train, test_batches, on_row=on_row)
-            matrices[seed] = acc
-            T = cfg.num_tasks
-            per_seed[str(seed)] = {
-                "avg_accuracy": avg_accuracy(acc, T),
-                "avg_forgetting": avg_forgetting(acc, T) if T >= 2 else None,
-            }
+        def on_row(seed, task_idx, accs):
+            for j, a in enumerate(accs):
+                rows.append((seed, task_idx + 1, j + 1, a))
+
+        try:
+            # every seed streams the same data and is scored on the same split
+            train, test = _load_dataset(cfg)
+            test_batches = split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
+            del test  # split_tasks copied its rows; the seeds need only the split
+            for seed in cfg.seeds:
+                acc, learner = _run_single_seed(cfg, seed, train, test_batches, on_row=on_row)
+                matrices[seed] = acc
+                T = cfg.num_tasks
+                per_seed[str(seed)] = {
+                    "avg_accuracy": avg_accuracy(acc, T),
+                    "avg_forgetting": avg_forgetting(acc, T) if T >= 2 else None,
+                }
+                if cfg.out_dir:
+                    learner.save(cfg.out_dir)
+                del learner  # its replay rows are not kept through the next seed's run
+        except Exception as err:
             if cfg.out_dir:
-                learner.save(cfg.out_dir)
-            del learner  # its replay rows are not kept through the next seed's run
-    except Exception as err:
-        if cfg.out_dir:
-            _write_outputs(cfg.out_dir, rows, record(error=repr(err)))
-        raise
+                _write_outputs(cfg.out_dir, rows, record(error=repr(err)))
+            raise
 
-    a_vals = [v["avg_accuracy"] for v in per_seed.values()]
-    f_vals = [v["avg_forgetting"] for v in per_seed.values() if v["avg_forgetting"] is not None]
-    summary = record(
-        mean_avg_accuracy=float(np.mean(a_vals)),
-        std_avg_accuracy=float(np.std(a_vals)),
-        mean_avg_forgetting=float(np.mean(f_vals)) if f_vals else None,
-        std_avg_forgetting=float(np.std(f_vals)) if f_vals else None,
-    )
-    if cfg.out_dir:
-        _write_outputs(cfg.out_dir, rows, summary)
-    return matrices, summary
+        a_vals = [v["avg_accuracy"] for v in per_seed.values()]
+        f_vals = [v["avg_forgetting"] for v in per_seed.values() if v["avg_forgetting"] is not None]
+        summary = record(
+            mean_avg_accuracy=float(np.mean(a_vals)),
+            std_avg_accuracy=float(np.std(a_vals)),
+            mean_avg_forgetting=float(np.mean(f_vals)) if f_vals else None,
+            std_avg_forgetting=float(np.std(f_vals)) if f_vals else None,
+        )
+        if cfg.out_dir:
+            _write_outputs(cfg.out_dir, rows, summary)
+        return matrices, summary
 
 
 # ---------------------------------------------------------- checkpoints

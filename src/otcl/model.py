@@ -10,11 +10,23 @@ the same kernel on a float32 copy of the weights. Class logits are pure
 inner products against one trainable prototype row per class seen so far —
 no bias, no normalization; their graph (`class_logits`) is built only by
 the test oracles in `tests/oracles/`.
+
+A forward large enough to pay for it (`features_np`, mostly evaluation)
+runs its rows as contiguous spans, at most one per CPU, on a thread pool
+made on the first split. Each span is the one-call forward of its rows, so
+the features are bit for bit those of one call. It splits only where
+numpy's bundled OpenBLAS reports one thread (`run_experiment` pins it
+there); elsewhere the forward runs on the calling thread, as the training
+forward always does.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
+import os
 
 import numpy as np
 
@@ -97,6 +109,87 @@ def mlp_backward(layers: Layers, inputs: list[np.ndarray], g: np.ndarray, grads:
             g *= inputs[i] > 0
 
 
+# ---------------------------------------------------------------------------
+# the forward's threads
+
+# A span pays for its handoff to a pool thread from about this many
+# multiply-adds. At the paper shape (784 -> 400 -> 400 -> 128, 524,800 a
+# row), float32, one BLAS thread, 2-vCPU Xeon, medians of 200 calls: 64 rows
+# took 0.45 ms in one call and in two spans alike, 96 rows (two spans of
+# 25.2M) 0.61 ms in one call and 0.50 ms in two, and 20 rows 0.24 against
+# 0.32 ms.
+_SPAN_MACS = 25_000_000
+# OpenBLAS runs a product of at most this many multiply-adds (M * N * K) on
+# its small-matrix kernels, which round differently from its blocked ones
+# (scipy-openblas 0.3.31, x86-64): a two-span forward at 784 -> 400 -> 400
+# -> 8 differed from one call exactly where a span's last layer was at or
+# under it and the whole chunk's over it. Every layer of a span stays above
+# it, so a span runs the kernels its chunk would.
+_SMALL_GEMM_MACS = 1_000_000
+
+
+@functools.cache
+def _openblas():
+    """`(get, set)` of the thread count of the OpenBLAS that numpy's wheel
+    bundles, through ctypes; None where there is no such library or it
+    lacks them (another BLAS, an older wheel)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs) if f.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports; None where it cannot."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count,
+    on success or failure. Yields 1, or None where the count cannot be set,
+    and then changes nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    get, set_ = lib
+    previous = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(previous)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: the most spans a forward splits into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on macOS or Windows
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _span_pool():
+    """The forward's thread pool, made (and its module imported) on the
+    first split: a run that never splits pays for neither."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "register_at_fork"):
+        # a forked child has none of the pool's threads, and would wait on
+        # them forever: it makes its own pool on its first split
+        os.register_at_fork(after_in_child=_span_pool.cache_clear)
+    return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="otcl-forward")
+
+
 class FeatureExtractor(MLP):
     """The contraction feature extractor: input -> hidden -> hidden -> feat_dim."""
 
@@ -108,11 +201,14 @@ class FeatureExtractor(MLP):
         self.input_dim = input_dim
         self.feat_dim = feat_dim
 
-    def forward_np(self, x: np.ndarray, weights: Layers | None = None):
-        """`mlp_forward` on (n, input_dim) rows, by default of the parameters."""
+    def _check_width(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
-        return mlp_forward(self.weights() if weights is None else weights, x)
+
+    def forward_np(self, x: np.ndarray):
+        """`mlp_forward` of the parameters on (n, input_dim) rows."""
+        self._check_width(x)
+        return mlp_forward(self.weights(), x)
 
     def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
         """`mlp_backward` into each `.grad`, given `forward_np(x)`'s `hidden`."""
@@ -128,15 +224,42 @@ class FeatureExtractor(MLP):
         float32 once per call and the rows chunk by chunk, so no float32
         copy of `x` is kept. uint8 rows are IDX pixels: each chunk is
         scaled to v/255 in `dtype` as it is cast (`data.as_float`).
+
+        A chunk large enough to pay for it (`_spans`) runs as contiguous
+        row spans, one per CPU at most, on the thread pool, and the spans'
+        outputs are joined in order. Each span is the same call on its own
+        rows, so every row's features are bit for bit those of one call,
+        and no more than `chunk` rows are in flight at once. The width is
+        checked before any span runs.
         """
         x = np.asarray(x)
+        self._check_width(x)
         weights = self.weights(dtype)
-        # an empty batch still makes one (empty) chunk: same input check
-        outs = [
-            self.forward_np(as_float(x[i : i + chunk], dtype), weights)[0]
-            for i in range(0, max(x.shape[0], 1), chunk)
-        ]
+
+        def forward(rows: slice) -> np.ndarray:
+            return mlp_forward(weights, as_float(x[rows], dtype))[0]
+
+        outs = []
+        # an empty batch still makes one (empty) chunk
+        for i in range(0, max(x.shape[0], 1), chunk):
+            spans = self._spans(i, min(i + chunk, x.shape[0]))
+            run = map if len(spans) == 1 else _span_pool().map
+            outs.extend(run(forward, spans))
         return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
+
+    def _spans(self, start: int, stop: int) -> list[slice]:
+        """Rows start..stop as contiguous spans of near-equal size: one per
+        CPU at most, each of at least `_SPAN_MACS` multiply-adds and of more
+        than `_SMALL_GEMM_MACS` in every layer. One span unless numpy's
+        OpenBLAS reports one thread: its own threads and these never stack."""
+        sizes = [a * b for a, b in zip(self.dims[:-1], self.dims[1:])]
+        least = max(-(-_SPAN_MACS // sum(sizes)), _SMALL_GEMM_MACS // min(sizes) + 1)
+        n = (stop - start) // least
+        if n < 2 or blas_threads() != 1:
+            return [slice(start, stop)]
+        n = min(n, _cpus())
+        cuts = [start + (stop - start) * k // n for k in range(n + 1)]
+        return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 class ClassPrototypes:

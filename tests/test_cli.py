@@ -245,6 +245,24 @@ def test_bad_config_value_is_config_error_before_any_output(flag, toy_config, tm
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
+@pytest.mark.parametrize(
+    "synth_classes, flags", [(1, []), (2, ["--num-tasks", "3"])], ids=["one-class", "three-tasks"]
+)
+def test_synth_classes_off_the_task_layout_are_config_error(
+    synth_classes, flags, toy_config, tmp_path, capsys
+):
+    # the config holds both counts: a mismatch is rejected with it, before
+    # the data is drawn or any output written
+    cfg = json.loads(toy_config.read_text())
+    cfg["synth"]["num_classes"] = synth_classes
+    toy_config.write_text(json.dumps(cfg))
+    out = tmp_path / "d"
+    assert main(["run", "--config", str(toy_config), *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"synth.num_classes {synth_classes}" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------- gen-synth
 
 

@@ -356,6 +356,10 @@ def test_run_config_validation():
     for bad in ({"feat_dim": 0}, {"hidden_dim": 0}, {"seeds": (0, -1)}):
         with pytest.raises(ValueError):
             tiny_run_config(**bad)
+    # the separable spec has 2 classes: the layout must hold exactly those
+    for layout in ({"num_tasks": 2}, {"classes_per_task": 1}):
+        with pytest.raises(ValueError, match="synth.num_classes 2"):
+            tiny_run_config(**layout)
 
 
 def test_run_experiment_learns_separable_classes(tmp_path):
@@ -547,6 +551,114 @@ def test_summary_records_what_a_seed_reproduces_under(tmp_path, monkeypatch):
         assert env["threads"] == threads | {"MKL_NUM_THREADS": None}
         assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
 
+
+
+ONE_THREAD_RUN = """
+import hashlib, json
+import numpy as np
+from otcl.data import SynthSpec
+from otcl.harness import RunConfig, run_experiment
+from otcl.losses import PreservationConfig
+from otcl.model import load_checkpoint
+
+centers = np.random.default_rng(0).random((4, 1, 784))
+spec = SynthSpec(num_classes=4, modes_per_class=1, mode_centers=centers, mode_scale=0.3,
+                 samples_per_class=60, seed=0)
+# lr_theta 0.01, as the benchmark runs this shape: the default diverges here
+mats, summary = run_experiment(RunConfig(synth=spec, num_tasks=2, classes_per_task=2,
+                                         memory_size=40, out_dir="out",
+                                         preservation=PreservationConfig(lr_theta=0.01)))
+groups, _ = load_checkpoint("out/checkpoint_seed0.npz")
+digest = hashlib.sha256(mats[0].values.tobytes())
+for group in sorted(groups):
+    for name in sorted(groups[group]):
+        digest.update(groups[group][name].tobytes())
+print(json.dumps([digest.hexdigest(), summary["environment"]["blas_threads_pinned"]]))
+"""
+
+
+def test_a_run_gives_the_one_thread_bytes_whatever_the_environment(tmp_path):
+    """A 784 -> 400 -> 400 -> 128 run with the BLAS thread variables unset
+    (numpy's OpenBLAS then starts one thread per CPU) gives the accuracy
+    matrix and checkpoint bytes of a run under OPENBLAS_NUM_THREADS=1. Each
+    run is its own process: the variable is read when numpy loads. On a
+    1-CPU machine both runs start on one thread, and only the record is
+    checked."""
+    from otcl import model
+
+    if model._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded: a run cannot pin another BLAS")
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PYTHONPATH")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    unset = {k: v for k, v in os.environ.items() if k not in names} | {"PYTHONPATH": src}
+    outputs = []
+    for i, env in enumerate((unset, unset | {"OPENBLAS_NUM_THREADS": "1"})):
+        (tmp_path / str(i)).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", ONE_THREAD_RUN], cwd=tmp_path / str(i), env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == 1
+
+
+def test_a_run_holds_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    import otcl.harness as hz
+    from otcl import model
+
+    if model._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded: nothing to pin")
+    get, set_ = model._openblas()
+    outer, during = get(), []
+    load = hz._load_dataset
+
+    def load_and_look(cfg):
+        during.append(get())
+        return load(cfg)
+
+    def look_and_fail(cfg):
+        during.append(get())
+        raise ValueError("no data")
+
+    try:
+        set_(2)  # stays 1 where OpenBLAS started one thread
+        before = get()
+        monkeypatch.setattr(hz, "_load_dataset", load_and_look)
+        _, summary = run_experiment(tiny_run_config(out_dir=str(tmp_path / "ok")))
+        assert get() == before
+        monkeypatch.setattr(hz, "_load_dataset", look_and_fail)
+        with pytest.raises(ValueError, match="no data"):
+            run_experiment(tiny_run_config(out_dir=str(tmp_path / "failed")))
+        assert get() == before
+    finally:
+        set_(outer)
+    assert during == [1, 1]
+    assert summary["environment"]["blas_threads_pinned"] == 1
+    for run in ("ok", "failed"):
+        with open(tmp_path / run / "summary.json") as fh:
+            assert json.load(fh)["environment"]["blas_threads_pinned"] == 1
+
+
+@pytest.mark.parametrize("library", [None, object], ids=["no-library", "no-symbols"])
+def test_blas_record_is_null_where_the_lookup_fails(library, tmp_path, monkeypatch):
+    from otcl import model
+
+    def cdll(path):
+        if library is None:
+            raise OSError(f"{path}: cannot open shared object file")
+        return library()
+
+    monkeypatch.setattr(model.ctypes, "CDLL", cdll)
+    lookup = model._openblas.__wrapped__  # the lookup, not its cached result
+    assert lookup() is None
+    monkeypatch.setattr(model, "_openblas", lookup)
+    assert model.blas_threads() is None
+    _, summary = run_experiment(tiny_run_config(out_dir=str(tmp_path)))
+    with open(tmp_path / "summary.json") as fh:
+        written = json.load(fh)["environment"]
+    assert summary["environment"]["blas_threads_pinned"] is written["blas_threads_pinned"] is None
 
 
 def test_summary_keys_in_order_for_both_outcomes(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from oracles import class_logits, finite_diff_check, graph
 from otcl import model as m
 from otcl.autodiff import Tensor
+from otcl.data import as_float
 
 
 class TestFeatureExtractor:
@@ -205,3 +209,136 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="version"):
             m.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# row spans on the thread pool
+
+PAPER_ROW_MACS = 784 * 400 + 400 * 400 + 400 * 128  # 784 -> 400 -> 400 -> 128
+
+
+class SpanRecorder:
+    """The real pool, recording how many spans each split hands it."""
+
+    def __init__(self):
+        self.pool = m._span_pool()
+        self.splits: list[int] = []
+
+    def map(self, fn, spans):
+        self.splits.append(len(spans))
+        return self.pool.map(fn, spans)
+
+
+def no_pool():
+    raise AssertionError("this forward must run on the calling thread")
+
+
+@pytest.fixture
+def one_thread():
+    """Numpy's OpenBLAS on one thread, the only setting the forward splits in."""
+    with m.one_blas_thread() as pinned:
+        if pinned is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded: no forward splits")
+        yield
+
+
+def one_call(fe, x, dtype):
+    return m.mlp_forward(fe.weights(dtype), as_float(x, dtype))[0]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_split_forward_is_bytewise_the_one_call_forward(workers, one_thread, monkeypatch):
+    # the worker count is set here, so a 1-CPU machine runs the split too
+    monkeypatch.setattr(m, "_cpus", lambda: workers)
+    recorder = SpanRecorder()
+    monkeypatch.setattr(m, "_span_pool", lambda: recorder)
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    least = -(-m._SPAN_MACS // PAPER_ROW_MACS)  # rows of the smallest span
+    rng = np.random.default_rng(workers)
+    for rows in (2 * least - 1, 2 * least, 401, 999, 2000):
+        pixels = rng.integers(0, 256, size=(rows, 784), dtype=np.uint8)
+        for x in (pixels, rng.random((rows, 784))):
+            for dtype in (np.float32, np.float64):
+                recorder.splits.clear()
+                got = fe.features_np(x, dtype=dtype)
+                assert got.dtype == dtype
+                assert got.tobytes() == one_call(fe, x, dtype).tobytes(), (rows, x.dtype, dtype)
+                spans = min(workers, rows // least)
+                assert recorder.splits == ([spans] if spans > 1 else [])
+
+
+def test_a_span_keeps_every_layer_on_the_blocked_kernels(one_thread, monkeypatch):
+    """A narrow last layer (128 -> 8 here) holds the split back until each
+    span's product in it is past OpenBLAS's small-matrix kernels: a span on
+    them would round differently from its whole chunk."""
+    monkeypatch.setattr(m, "_cpus", lambda: 2)
+    recorder = SpanRecorder()
+    monkeypatch.setattr(m, "_span_pool", lambda: recorder)
+    fe = m.FeatureExtractor(784, 8, seed=0)
+    least = m._SMALL_GEMM_MACS // (400 * 8) + 1
+    rng = np.random.default_rng(0)
+    for rows in (400, 2 * least - 1, 2 * least, 2000):
+        x = rng.integers(0, 256, size=(rows, 784), dtype=np.uint8)
+        for dtype in (np.float32, np.float64):
+            recorder.splits.clear()
+            assert fe.features_np(x, dtype=dtype).tobytes() == one_call(fe, x, dtype).tobytes()
+            assert recorder.splits == ([2] if rows >= 2 * least else [])
+
+
+def test_training_ring_and_predict_forwards_stay_on_the_calling_thread(one_thread, monkeypatch):
+    from otcl.harness import predict
+    from otcl.mixture import ClassMixture
+
+    monkeypatch.setattr(m, "_cpus", lambda: 7)
+    monkeypatch.setattr(m, "_span_pool", no_pool)
+    rng = np.random.default_rng(1)
+    paper = m.FeatureExtractor(784, 128, seed=0)
+    joint = rng.random((20, 784))  # a stream batch and its replay draw
+    assert paper.features_np(joint).tobytes() == paper.forward_np(joint)[0].tobytes()
+    ring = m.FeatureExtractor(2, 8, seed=0, hidden=32)  # ring-k4's extractor
+    for rows in (20, 160, 2000):
+        x = rng.random((rows, 2))
+        for dtype in (np.float32, np.float64):
+            assert ring.features_np(x, dtype=dtype).tobytes() == one_call(ring, x, dtype).tobytes()
+    anchors = paper.forward_np(rng.random((2, 784)))[0]
+    mixtures = {c: ClassMixture.from_features(anchors[c : c + 1], 1) for c in range(2)}
+    assert predict(rng.random(784), paper, mixtures) in (0, 1)
+
+
+@pytest.mark.parametrize("reported", [2, None], ids=["two-threads", "no-openblas"])
+def test_no_split_unless_the_blas_runs_one_thread(reported, monkeypatch):
+    monkeypatch.setattr(m, "blas_threads", lambda: reported)
+    monkeypatch.setattr(m, "_cpus", lambda: 2)
+    monkeypatch.setattr(m, "_span_pool", no_pool)
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    x = np.random.default_rng(2).integers(0, 256, size=(2000, 784), dtype=np.uint8)
+    assert fe.features_np(x, dtype=np.float32).shape == (2000, 128)
+
+
+def test_wrong_width_is_rejected_before_any_span_runs(one_thread, monkeypatch):
+    monkeypatch.setattr(m, "_cpus", lambda: 7)
+    monkeypatch.setattr(m, "_span_pool", no_pool)
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    with pytest.raises(ValueError, match="^input dim 783 != expected 784$"):
+        fe.features_np(np.zeros((2000, 783), dtype=np.uint8), dtype=np.float32)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with pool threads alive
+def test_a_forked_child_splits_on_its_own_pool(one_thread, monkeypatch):
+    """A child forked after a split has none of the pool's threads; its own
+    split must still finish (it used to wait on them forever)."""
+    monkeypatch.setattr(m, "_cpus", lambda: 2)
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    x = np.random.default_rng(3).integers(0, 256, size=(400, 784), dtype=np.uint8)
+    want = fe.features_np(x, dtype=np.float32)  # makes the pool and its threads
+    pid = os.fork()
+    if pid == 0:  # the child: no pytest machinery, only an exit code
+        code = 1
+        try:
+            signal.alarm(60)
+            code = 0 if fe.features_np(x, dtype=np.float32).tobytes() == want.tobytes() else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
