@@ -4,8 +4,13 @@
 buffer and takes the checked SGD step, at one rate or at a rate per
 parameter; `ParamSet.union` steps several sets as one. The step computes and
 checks each new value in the gradient buffer, one cache-sized block at a
-time, then swaps the two buffers and zeroes the new gradient. A non-finite
-value raises `NumericsError`.
+time, then swaps the two buffers. It does not zero the new gradient buffer,
+which holds the old values: a stepped gradient is an output, written whole
+by the closed form that computes it (`mlp_backward` with `out=`, the
+separation gradient into every prototype row), as `mixture._Stack.advance`
+also leaves its gradient stack. A caller that accumulates into `.grad`, as
+`backward` does, calls `zero_grad()` first. A non-finite value raises
+`NumericsError`.
 
 Training builds no graph: the transport step (`mixture`) and the
 preservation step (`losses`, `model`) compute their gradients in closed form
@@ -249,7 +254,7 @@ class ParamSet:
         return out
 
     def step(self, lr):
-        """One SGD step: p <- p - lr * grad, then zero the accumulators.
+        """One SGD step: p <- p - lr * grad.
 
         `lr` is one positive rate for every parameter, or a {name: rate} map
         with a non-negative rate for each (0 leaves that parameter in place).
@@ -257,9 +262,11 @@ class ParamSet:
         bit for bit p - lr * grad) and checked block by block in insertion
         order; only when every one is finite does each `Tensor` swap its data
         and gradient buffers (as `mixture._Stack.advance` swaps its stacks),
-        so the arrays are replaced, not copied into. A non-finite step leaves
-        all parameters unchanged and names the first non-finite one. Either
-        way every gradient is zeroed.
+        so the arrays are replaced, not copied into. The new gradient buffers
+        hold the old values and are not zeroed: the next closed form writes
+        every element, and a caller that accumulates (`backward`) calls
+        `zero_grad()` first. A non-finite step leaves all parameters
+        unchanged, zeroes every gradient and names the first non-finite one.
         """
         if not isinstance(lr, dict):
             if lr <= 0:
@@ -277,4 +284,3 @@ class ParamSet:
                 )
         for t in self._params.values():
             t.data, t.grad = t.grad, t.data
-            t.grad.fill(0.0)

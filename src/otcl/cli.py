@@ -9,7 +9,8 @@ Subcommands:
 Configuration is a JSON file whose keys mirror the run-config field names
 (nested "preservation", "otmm", and "synth" blocks); any flag given on the
 command line overrides the file value. Exit codes: 0 success, 1 config
-error, 2 data error, 3 numerical failure.
+error, 2 data error, 3 numerical failure. `eval` and `export-embeddings` run
+at one OpenBLAS thread, as `run` does: results depend on the thread count.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 
 from .autodiff import NumericsError
 from .data import Batch, IdxError, SynthSpec, gen_synthetic, load_idx, ring_centers, split_tasks
-from .harness import MNIST_FILES, RunConfig, evaluate_task, load_model, run_experiment
+from .harness import MNIST_FILES, RunConfig, evaluate_tasks, load_model, run_experiment
 from .losses import PreservationConfig
 from .mixture import OtmmConfig
+from .model import one_blas_thread
 
 
 class CliError(Exception):
@@ -187,7 +189,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         per_task = split_tasks(test, meta["num_tasks"], meta["classes_per_task"])
     except ValueError as err:
         raise CliError(2, f"data error: {err}") from err
-    accs = [evaluate_task(batch, fe, state.mixtures) for batch in per_task]
+    with one_blas_thread():  # as the run that wrote the checkpoint scored it
+        accs = evaluate_tasks(per_task, fe, state.mixtures)
     for t, a in enumerate(accs):
         print(f"task {t + 1}: {a:.4f}")
     print(f"average: {float(np.mean(accs)):.4f}")
@@ -216,7 +219,8 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
 
 def _cmd_export_embeddings(args: argparse.Namespace) -> int:
     fe, _, _, test = _load_model_and_test(args)
-    emb = fe.features_np(test.features)
+    with one_blas_thread():  # the thread count the run's features were computed at
+        emb = fe.features_np(test.features)
     try:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)

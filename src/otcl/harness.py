@@ -222,6 +222,17 @@ def evaluate_task(test: Batch, fe: FeatureExtractor, mixtures: dict[int, ClassMi
     return float((_predict_rows(test.features, fe, mixtures) == test.labels).mean())
 
 
+def evaluate_tasks(
+    batches: list[Batch], fe: FeatureExtractor, mixtures: dict[int, ClassMixture]
+) -> list[float]:
+    """`evaluate_task` on each held-out batch, in one evaluation pass: the
+    parameters do not change between the calls, so the float32 weights are
+    copied once for all of them (`FeatureExtractor.evaluation_pass`).
+    `evaluate_task` is looked up in this module at call time."""
+    with fe.evaluation_pass():
+        return [evaluate_task(batch, fe, mixtures) for batch in batches]
+
+
 # ------------------------------------------------------------- data prep
 
 
@@ -248,9 +259,10 @@ class Learner:
     """One seed's learner: extractor, prototypes, transport state, replay
     memory, and the replay/transport/prototype generators, seeded (seed, 1..3).
 
-    `dynamic_preservation_step`, `otmm_step` and `evaluate_task` are called
-    through this module's globals, looked up at call time, with positional
-    arguments, so that a probe which rebinds those names sees every call."""
+    `dynamic_preservation_step`, `otmm_step` and `evaluate_task` (through
+    `evaluate_tasks`) are called through this module's globals, looked up at
+    call time, with positional arguments, so that a probe which rebinds
+    those names sees every call."""
 
     def __init__(self, cfg: RunConfig, seed: int, input_dim: int):
         self.cfg, self.seed = cfg, seed
@@ -297,7 +309,7 @@ class Learner:
 
     def evaluate(self, test_batches: list[Batch]) -> list[float]:
         """Nearest-centroid accuracy on each held-out batch."""
-        return [evaluate_task(tb, self.fe, self.state.mixtures) for tb in test_batches]
+        return evaluate_tasks(test_batches, self.fe, self.state.mixtures)
 
     def save(self, out_dir: str) -> None:
         """Write `checkpoint_seed<seed>.npz` for `load_model`."""
@@ -402,6 +414,13 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
     output directory is configured. On failure the rows recorded so far are
     still flushed before the error propagates.
 
+    A seed that raises `NumericsError` is recorded, and the next seed runs:
+    its per-seed entry carries the error and where it arose (seed, task,
+    batch, class, phase, param). After the last seed the outputs are written,
+    with the means over the completed seeds, the failed seeds and their
+    count, and the first failure is raised. Any other exception ends the run
+    at once.
+
     The run holds numpy's OpenBLAS at one thread, whatever the environment
     sets, and restores the count when it ends (`model.one_blas_thread`):
     results depend on the thread count. The summary's environment records
@@ -411,10 +430,14 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
         rows: list[tuple[int, int, int, float]] = []
         matrices: dict[int, AccMatrix] = {}
         per_seed: dict[str, dict] = {}
+        failures: dict[int, NumericsError] = {}  # seed -> its error, in seed order
 
         def record(**outcome) -> dict:
-            """The summary both outcomes write, built when the run ends: a
-            failure adds the error, a finished run its means and stds."""
+            """The summary every outcome writes, built when the run ends: an
+            error that ended the run adds itself; a run that reached its last
+            seed adds the means and stds over the completed seeds and, if
+            any seed failed, the failed count, the failed seeds and the
+            first error."""
             environment = _environment() | {"blas_threads_pinned": pinned}
             shared = {"config": _config_echo(cfg), "environment": environment, "per_seed": per_seed}
             return shared | outcome | {"wall_clock_seconds": time.time() - t0}
@@ -429,7 +452,15 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
             test_batches = split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
             del test  # split_tasks copied its rows; the seeds need only the split
             for seed in cfg.seeds:
-                acc, learner = _run_single_seed(cfg, seed, train, test_batches, on_row=on_row)
+                try:
+                    acc, learner = _run_single_seed(cfg, seed, train, test_batches, on_row=on_row)
+                except NumericsError as err:  # this seed's numerics: the next seed runs
+                    failures[seed] = err
+                    per_seed[str(seed)] = {
+                        "error": str(err), "seed": seed, "task": err.task, "batch": err.batch,
+                        "class_id": err.class_id, "phase": err.phase, "param": err.param,
+                    }
+                    continue
                 matrices[seed] = acc
                 T = cfg.num_tasks
                 per_seed[str(seed)] = {
@@ -444,16 +475,26 @@ def run_experiment(cfg: RunConfig) -> tuple[dict[int, AccMatrix], dict]:
                 _write_outputs(cfg.out_dir, rows, record(error=repr(err)))
             raise
 
-        a_vals = [v["avg_accuracy"] for v in per_seed.values()]
-        f_vals = [v["avg_forgetting"] for v in per_seed.values() if v["avg_forgetting"] is not None]
-        summary = record(
-            mean_avg_accuracy=float(np.mean(a_vals)),
-            std_avg_accuracy=float(np.std(a_vals)),
-            mean_avg_forgetting=float(np.mean(f_vals)) if f_vals else None,
-            std_avg_forgetting=float(np.std(f_vals)) if f_vals else None,
-        )
+        completed = [per_seed[str(seed)] for seed in matrices]
+        a_vals = [v["avg_accuracy"] for v in completed]
+        f_vals = [v["avg_forgetting"] for v in completed if v["avg_forgetting"] is not None]
+        means = {
+            "mean_avg_accuracy": float(np.mean(a_vals)) if a_vals else None,
+            "std_avg_accuracy": float(np.std(a_vals)) if a_vals else None,
+            "mean_avg_forgetting": float(np.mean(f_vals)) if f_vals else None,
+            "std_avg_forgetting": float(np.std(f_vals)) if f_vals else None,
+        }
+        first = next(iter(failures.values()), None)
+        if first is None:
+            summary = record(**means)
+        else:
+            summary = record(
+                **means, failed=len(failures), failed_seeds=list(failures), error=repr(first)
+            )
         if cfg.out_dir:
             _write_outputs(cfg.out_dir, rows, summary)
+        if first is not None:
+            raise first
         return matrices, summary
 
 

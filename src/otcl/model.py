@@ -6,10 +6,13 @@ class's transport potential (`mixture.DualPotential`). `mlp_forward` and
 (n, d) rows for the extractor, a class-stacked batch for the potentials.
 `MLP.forward`, over the autodiff tensors, is their test oracle. Training
 runs on the float64 parameters; evaluation asks `features_np` for float32,
-the same kernel on a float32 copy of the weights. Class logits are pure
-inner products against one trainable prototype row per class seen so far —
-no bias, no normalization; their graph (`class_logits`) is built only by
-the test oracles in `tests/oracles/`.
+the same kernel on a float32 copy of the weights. Inside
+`FeatureExtractor.evaluation_pass`, while the parameters stay as they are,
+that copy is taken once and shared by every call; outside one, each call
+takes its own. Class logits are pure inner products against one trainable
+prototype row per class seen so far — no bias, no normalization; their
+graph (`class_logits`) is built only by the test oracles in
+`tests/oracles/`.
 
 A forward large enough to pay for it (`features_np`, mostly evaluation)
 runs its rows as contiguous spans, at most one per CPU, on a thread pool
@@ -200,6 +203,30 @@ class FeatureExtractor(MLP):
         super().__init__([input_dim, hidden, hidden, feat_dim], seed)
         self.input_dim = input_dim
         self.feat_dim = feat_dim
+        self._pass_weights: dict | None = None  # dtype -> weights, in a pass
+
+    @contextlib.contextmanager
+    def evaluation_pass(self):
+        """Share one copy of the weights per dtype among the `features_np`
+        calls of the block, taken on the first call that asks for it and
+        dropped when the block ends, normally or by an exception. Nothing
+        may write the parameters inside the block (no step, no restore):
+        the calls would not see it."""
+        self._pass_weights = {}
+        try:
+            yield
+        finally:
+            self._pass_weights = None
+
+    def _weights_for(self, dtype) -> Layers:
+        """`weights(dtype)`, or the copy of the open evaluation pass."""
+        shared = self._pass_weights
+        if shared is None:
+            return self.weights(dtype)
+        key = np.dtype(dtype)
+        if key not in shared:
+            shared[key] = self.weights(dtype)
+        return shared[key]
 
     def _check_width(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.input_dim:
@@ -221,9 +248,10 @@ class FeatureExtractor(MLP):
 
         The default float64 is bit for bit `forward_np`, the training
         forward. Evaluation asks for float32: the weights are copied to
-        float32 once per call and the rows chunk by chunk, so no float32
-        copy of `x` is kept. uint8 rows are IDX pixels: each chunk is
-        scaled to v/255 in `dtype` as it is cast (`data.as_float`).
+        float32 once per call, or once per `evaluation_pass`, and the rows
+        chunk by chunk, so no float32 copy of `x` is kept. uint8 rows are
+        IDX pixels: each chunk is scaled to v/255 in `dtype` as it is cast
+        (`data.as_float`).
 
         A chunk large enough to pay for it (`_spans`) runs as contiguous
         row spans, one per CPU at most, on the thread pool, and the spans'
@@ -234,7 +262,7 @@ class FeatureExtractor(MLP):
         """
         x = np.asarray(x)
         self._check_width(x)
-        weights = self.weights(dtype)
+        weights = self._weights_for(dtype)
 
         def forward(rows: slice) -> np.ndarray:
             return mlp_forward(weights, as_float(x[rows], dtype))[0]

@@ -221,6 +221,24 @@ def test_numerical_blowup_is_numerics_error(toy_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_every_seed_failing_is_one_numerics_error(toy_config, tmp_path, capsys):
+    # each seed runs and fails; the run exits as a one-seed failure does,
+    # after writing a summary with no completed seed to average
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow is the point
+        code = main(
+            ["run", "--config", str(toy_config), "--out-dir", str(tmp_path / "o"),
+             "--lr-theta", "1e30", "--seeds", "3,0"]
+        )
+    assert code == 3
+    assert "numerical failure: seed 3 task 1 batch " in capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["failed"], summary["failed_seeds"]) == (2, [3, 0])
+    assert summary["mean_avg_accuracy"] is None and summary["std_avg_accuracy"] is None
+    assert [entry["seed"] for entry in summary["per_seed"].values()] == [3, 0]
+    assert all(entry["param"] is not None for entry in summary["per_seed"].values())
+
+
 def test_missing_checkpoint_is_data_error(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent.npz", "--synth-npz", "x.npz"]) == 2
     capsys.readouterr()
@@ -411,6 +429,52 @@ def test_export_embeddings_of_idx_pixels_are_the_scaled_rows_features(idx_run, t
     ]
     with open(out_csv, newline="") as fh:
         assert list(csv.reader(fh)) == want
+
+
+def test_eval_prints_the_scores_of_one_call_per_task(idx_run, capsys):
+    """`eval` scores its tasks in one evaluation pass; each line is the
+    score `evaluate_task` gives that task on its own weight copy."""
+    from otcl.data import split_tasks
+    from otcl.harness import evaluate_task
+
+    data_dir, ckpt = idx_run
+    fe, state, _, meta = load_model(str(ckpt))
+    test = load_idx(data_dir / MNIST_FILES["test_images"], data_dir / MNIST_FILES["test_labels"])
+    per_task = split_tasks(test, meta["num_tasks"], meta["classes_per_task"])
+    accs = [evaluate_task(batch, fe, state.mixtures) for batch in per_task]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 0
+    want = [f"task {t + 1}: {a:.4f}" for t, a in enumerate(accs)]
+    assert capsys.readouterr().out.splitlines() == want + [f"average: {float(np.mean(accs)):.4f}"]
+
+
+def test_eval_and_export_run_at_one_blas_thread(idx_run, tmp_path, monkeypatch):
+    """Both pin the BLAS to one thread around their forwards, as a run does,
+    and restore the count after."""
+    import otcl.harness as hz
+    from otcl import model
+
+    counts = [2]  # the BLAS's thread count over time; 2 before the command
+    monkeypatch.setattr(model, "_openblas", lambda: (lambda: counts[-1], counts.append))
+    seen = []
+    features_np, evaluate_task = model.FeatureExtractor.features_np, hz.evaluate_task
+
+    def looking_features_np(fe, *args, **kwargs):
+        seen.append(counts[-1])
+        return features_np(fe, *args, **kwargs)
+
+    def looking_evaluate_task(*args):
+        seen.append(counts[-1])
+        return evaluate_task(*args)
+
+    monkeypatch.setattr(model.FeatureExtractor, "features_np", looking_features_np)
+    monkeypatch.setattr(hz, "evaluate_task", looking_evaluate_task)
+    data_dir, ckpt = idx_run
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 0
+    assert counts == [2, 1, 2] and seen == [1] * 4  # two tasks, each evaluated and forwarded
+    assert main(["export-embeddings", "--checkpoint", str(ckpt), "--data-dir", str(data_dir),
+                 "--out", str(tmp_path / "emb.csv")]) == 0
+    assert counts == [2, 1, 2, 1, 2] and seen == [1] * 5
 
 
 @pytest.mark.parametrize("missing", ["test_images", "test_labels"])

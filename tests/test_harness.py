@@ -254,6 +254,42 @@ def test_evaluation_does_not_touch_training(tmp_path):
             assert arr.tobytes() == runs[True][group][name].tobytes(), (group, name)
 
 
+def test_evaluate_tasks_scores_each_batch_in_one_pass(monkeypatch):
+    """One float32 weight copy for all the batches, and every score bytewise
+    that of an `evaluate_task` call on its own copy, made through the module
+    global with positional arguments, as the benchmark's tracer sees it."""
+    import otcl.harness as hz
+
+    fe = FeatureExtractor(784, 16, seed=0, hidden=32)
+    rng = default_rng(8)
+    anchors = fe.features_np(rng.random((4, 784)))
+    mixtures = {c: mixture_at(anchors[c : c + 1]) for c in range(4)}
+    batches = [
+        Batch(rng.integers(0, 256, size=(n, 784), dtype=np.uint8), rng.integers(0, 4, size=n))
+        for n in (30, 1, 57)
+    ]
+    per_call = [evaluate_task(b, fe, mixtures) for b in batches]
+
+    calls, copies, weights, evaluate = [], [], fe.weights, hz.evaluate_task
+
+    def counted_weights(dtype=np.float64):
+        copies.append(np.dtype(dtype))
+        return weights(dtype)
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(fe, "weights", counted_weights)
+    monkeypatch.setattr(hz, "evaluate_task", counted)
+    scores = hz.evaluate_tasks(batches, fe, mixtures)
+    assert np.array(scores).tobytes() == np.array(per_call).tobytes()
+    assert len(calls) == len(batches)
+    for args, batch in zip(calls, batches):
+        assert args[0] is batch and args[1] is fe and args[2] is mixtures
+    assert copies == [np.dtype(np.float32)]
+
+
 def test_evaluate_task_rejects_empty_mixtures():
     fe = small_extractor()
     batch = Batch(features=np.zeros((2, 2)), labels=np.array([0, 1]))
@@ -718,6 +754,102 @@ def test_numerics_error_carries_seed_task_and_batch(tmp_path):
     assert "seed 3 task 1 batch 1: class" in s["error"]
     with open(tmp_path / "metrics.csv") as fh:
         assert fh.read().strip() == "seed,task_index,eval_task,accuracy"
+
+
+def test_a_failed_seed_does_not_end_the_experiment(tmp_path, monkeypatch):
+    """Seed 3 fails at the first batch of task 2; seed 0 still runs, and
+    every output of it is byte for byte that of a run of seed 0 alone."""
+    import otcl.harness as hz
+
+    real_run, real_step = hz._run_single_seed, hz.otmm_step
+    running = []
+
+    def tracked(cfg, seed, *args, **kwargs):
+        running.append(seed)
+        return real_run(cfg, seed, *args, **kwargs)
+
+    def failing_in_seed_3(by_class, state, *args):
+        if running[-1] == 3 and state.known() and set(by_class) - set(state.known()):
+            raise NumericsError("class 0: injected", class_id=0, phase="mixture", param="alpha")
+        return real_step(by_class, state, *args)
+
+    monkeypatch.setattr(hz, "_run_single_seed", tracked)
+    monkeypatch.setattr(hz, "otmm_step", failing_in_seed_3)
+    spec = SynthSpec(
+        num_classes=4, modes_per_class=1, mode_centers=ring_centers(4, 1, radius=4.0),
+        mode_scale=0.3, samples_per_class=200, seed=0,
+    )
+    runs = {}
+    for name, seeds in (("both", (3, 0)), ("alone", (0,))):
+        cfg = tiny_run_config(
+            out_dir=str(tmp_path / name), synth=spec, num_tasks=2, seeds=seeds,
+            eval_every_batch=True,
+        )
+        if name == "alone":
+            runs[name] = run_experiment(cfg)[1]
+            continue
+        with pytest.raises(NumericsError) as info:
+            run_experiment(cfg)
+        with open(tmp_path / name / "summary.json") as fh:
+            runs[name] = json.load(fh)
+    assert running == [3, 0, 0]
+    err = info.value
+    assert (err.seed, err.task, err.batch, err.class_id, err.phase, err.param) == (
+        3, 2, 1, 0, "mixture", "alpha"
+    )
+    assert str(err) == "seed 3 task 2 batch 1: class 0: injected"
+
+    both, alone = runs["both"], runs["alone"]
+    assert list(both["per_seed"]) == ["3", "0"]
+    assert both["per_seed"]["3"] == {
+        "error": str(err), "seed": 3, "task": 2, "batch": 1,
+        "class_id": 0, "phase": "mixture", "param": "alpha",
+    }
+    assert both["per_seed"]["0"] == alone["per_seed"]["0"]
+    means = ["mean_avg_accuracy", "std_avg_accuracy", "mean_avg_forgetting", "std_avg_forgetting"]
+    assert list(both) == ["config", "environment", "per_seed"] + means + [
+        "failed", "failed_seeds", "error", "wall_clock_seconds"
+    ]
+    assert {k: both[k] for k in means} == {k: alone[k] for k in means}
+    assert (both["failed"], both["failed_seeds"]) == (1, [3])
+    assert both["error"] == repr(err)
+
+    with open(tmp_path / "both" / "metrics.csv") as fh:
+        lines = fh.read().splitlines()
+    with open(tmp_path / "alone" / "metrics.csv") as fh:
+        solo = fh.read().splitlines()
+    assert [ln.split(",")[:3] for ln in lines[1:2]] == [["3", "1", "1"]]  # seed 3's task 1
+    assert lines[:1] + lines[2:] == solo
+    assert not (tmp_path / "both" / "checkpoint_seed3.npz").exists()
+    assert not (tmp_path / "both" / "curve_seed3.csv").exists()
+    curve = "curve_seed0.csv"
+    assert (tmp_path / "both" / curve).read_bytes() == (tmp_path / "alone" / curve).read_bytes()
+    # the npz zip entries carry their write time: compare the arrays
+    (got, got_meta), (want, want_meta) = (
+        load_checkpoint(str(tmp_path / name / "checkpoint_seed0.npz")) for name in ("both", "alone")
+    )
+    assert got_meta == want_meta and got.keys() == want.keys()
+    for group, arrays in want.items():
+        assert arrays.keys() == got[group].keys()
+        for param, arr in arrays.items():
+            assert got[group][param].tobytes() == arr.tobytes(), (group, param)
+
+
+def test_any_other_error_ends_the_run_at_once(tmp_path, monkeypatch):
+    import otcl.harness as hz
+
+    running = []
+
+    def broken(cfg, seed, *args, **kwargs):
+        running.append(seed)
+        raise KeyError("a bug, not one seed's numerics")
+
+    monkeypatch.setattr(hz, "_run_single_seed", broken)
+    with pytest.raises(KeyError):
+        run_experiment(tiny_run_config(out_dir=str(tmp_path), seeds=(3, 0)))
+    assert running == [3]
+    with open(tmp_path / "summary.json") as fh:
+        assert "a bug" in json.load(fh)["error"]
 
 
 def test_missing_mnist_dir_raises_file_not_found(tmp_path):

@@ -144,10 +144,48 @@ class TestSeparationRates:
         for name, t in fe.params.items():
             assert t.data.tobytes() == fe_full.params[name].data.tobytes()
 
-    def test_grads_zeroed_after(self):
-        fe, protos, _ = self._step(clip_alpha=0.5)
-        for t in fe.params.tensors() + protos.params.tensors():
-            assert not t.grad.any()
+
+class TestStepOverwritesGradients:
+    """`ParamSet.step` does not zero the gradients it leaves: every closed
+    form of `dynamic_preservation_step` must write each gradient it steps
+    whole. With every gradient buffer poisoned with NaN before each call, a
+    skipped element would reach the step's finite check and raise."""
+
+    @staticmethod
+    def _run(dims, poison, steps):
+        input_dim, hidden, feat_dim = dims
+        rng = np.random.default_rng(31)
+        fe = FeatureExtractor(input_dim, feat_dim=feat_dim, seed=31, hidden=hidden)
+        protos = ClassPrototypes(feat_dim)
+        cfg = L.PreservationConfig(lr_theta=0.01, steps_l1=steps, steps_l2=steps)
+
+        def rows(labels):
+            return Batch(rng.random((len(labels), input_dim)), np.asarray(labels))
+
+        # classes 0 and 1 twice, then class 2 and then 3 arrive while the
+        # prototypes of the older classes exist and their replay rows join;
+        # the last joint batch lacks class 1, whose prototype still steps
+        stream = [
+            (rows([0, 1] * 5), None),
+            (rows([1, 0] * 5), None),
+            (rows([2] * 10), rows([0, 1] * 5)),
+            (rows([3, 2] * 5), rows([0, 1, 2, 0, 1])),
+            (rows([3] * 10), rows([0, 2, 0])),
+        ]
+        for new, replay in stream:
+            fresh = sorted(set(new.labels.tolist()) - set(protos.known()))
+            if fresh:
+                protos.init_new_classes(fresh, seed=int(rng.integers(2**31)))
+            if poison:
+                for t in fe.params.tensors() + protos.params.tensors():
+                    t.grad.fill(np.nan)
+            L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+        return param_bytes(fe, protos)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("dims", [(6, 8, 3), (784, 400, 128)], ids=["small", "paper"])
+    def test_poisoned_gradients_change_nothing(self, dims, steps):
+        assert self._run(dims, True, steps) == self._run(dims, False, steps)
 
 
 class TestMeanPrototypes:

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 
@@ -342,3 +343,47 @@ def test_a_forked_child_splits_on_its_own_pool(one_thread, monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
+# ---------------------------------------------------------------------------
+# one float32 weight copy per evaluation pass
+
+
+def count_copies(fe, monkeypatch) -> list:
+    """The dtypes `fe.weights` is asked for, one entry a call."""
+    asked, weights = [], fe.weights
+
+    def counted(dtype=np.float64):
+        asked.append(np.dtype(dtype))
+        return weights(dtype)
+
+    monkeypatch.setattr(fe, "weights", counted)
+    return asked
+
+
+def test_an_evaluation_pass_takes_one_float32_copy(monkeypatch):
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    asked = count_copies(fe, monkeypatch)
+    x = np.random.default_rng(4).integers(0, 256, size=(3, 50, 784), dtype=np.uint8)
+    per_call = [fe.features_np(rows, dtype=np.float32) for rows in x]
+    assert asked == [np.dtype(np.float32)] * 3
+    asked.clear()
+    with fe.evaluation_pass():
+        shared = [fe.features_np(rows, dtype=np.float32) for rows in x]
+    assert asked == [np.dtype(np.float32)]
+    for got, want in zip(shared, per_call):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ends", ["normally", "by-an-exception"])
+def test_a_write_after_the_pass_shows_in_the_float32_forward(ends):
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    x = np.random.default_rng(5).integers(0, 256, size=(50, 784), dtype=np.uint8)
+    with contextlib.suppress(KeyError), fe.evaluation_pass():
+        before = fe.features_np(x, dtype=np.float32)
+        if ends == "by-an-exception":
+            raise KeyError("evaluation failed")
+    fe.params["w0"].data *= 2.0  # in place, as restore_params writes
+    after = fe.features_np(x, dtype=np.float32)
+    assert after.tobytes() == one_call(fe, x, np.float32).tobytes()
+    assert after.tobytes() != before.tobytes()
