@@ -25,9 +25,12 @@ extractor's kernel, `model.mlp_forward`/`mlp_backward`, class axis leading.
 A group draws all of its noise before its first step, in the order a
 per-class loop would: classes in ascending id; per class n_phi_steps draws,
 then n_mix_steps draws; each draw rng.random((m, K)) followed by
-rng.standard_normal((m, K, d)). Every step's new values are checked for
-finite values per class, and nothing is written back until every group of
-the call has stepped: a non-finite step leaves every class as it was.
+rng.standard_normal((m, K, d)). It draws into a buffer that the state keeps
+from group to group (`NoiseBuffer`), not into arrays of its own, so a batch
+does not hand that memory back to the kernel and fault it in again. Every
+step's new values are checked for finite values per class, and nothing is
+written back until every group of the call has stepped: a non-finite step
+leaves every class as it was.
 The tests hold those gradients to `dual_objective`, which builds the same
 value as an autodiff graph in `tests/oracles/`.
 """
@@ -147,8 +150,12 @@ class DualPotential(MLP):
 # group is a run of consecutive classes under it (a class over it on its own
 # is a group of one), so the step's transient memory does not grow with the
 # number of classes in a batch. 512 KiB holds four classes of 64 draws with
-# K=4, d=8 and 7 steps (the a05 stream); twice that ran faster but raised
-# that stream's peak RSS by 3.3% instead of 1.6%.
+# K=4, d=8 and 7 steps (the a05 stream). The bound also fixes each run's
+# rounding: a class's potential values round by its group's padded row count
+# (OpenBLAS's matrix-vector kernel takes rows in blocks of 4), so another
+# bound regroups classes and moves their parameters by a few ulps. 2 MiB
+# makes one group per a05 batch and ran those batches 15% faster, but moved
+# every checkpointed mixture and potential in that way.
 GROUP_NOISE_BYTES = 512 * 1024
 
 
@@ -202,20 +209,50 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     return views
 
 
-def _draw_group_noise(ms: list[int], k: int, dim: int, n_steps: int, rng: np.random.Generator):
-    """Gumbel (n_steps, C, K, M) and Gaussian (n_steps, C, M, K, dim) noise,
-    drawn class by class and, per class, step by step, each draw as the
-    oracle draw_mixture_noise(m, k, dim, rng) makes it. Draws past a
-    class's m are padding (the Gumbel of u = 0.5, a zero Gaussian). The
-    Gumbel noise is stored components-first, so that softmaxes over K
+class NoiseBuffer:
+    """A float64 buffer that `otmm_step` draws every group's noise into.
+
+    `views(*shapes)` lays one array per shape end to end in it, growing it
+    first if they do not fit; they hold whatever was there before and are
+    valid until the next call. Kept by the `OtmmState`, the buffer lives as
+    long as the run. Noise arrays of each group's own made glibc hand the
+    heap top back to the kernel and fault it in again: a fresh process
+    stepping the a05 stream took 26K to 56K minor page faults in its 320
+    batches (input seeds 1-3), and about 3K with this buffer."""
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def views(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        sizes = [math.prod(shape) for shape in shapes]
+        if self._flat.size < sum(sizes):
+            self._flat = np.empty(sum(sizes))
+        views, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self._flat[start : start + size].reshape(shape))
+            start += size
+        return views
+
+
+def _draw_group_noise(
+    ms: list[int], k: int, dim: int, n_steps: int, rng: np.random.Generator, buffer: NoiseBuffer
+):
+    """Gumbel (n_steps, C, K, M) and Gaussian (n_steps, C, M, K, dim) noise
+    in `buffer`, drawn class by class and, per class, step by step, each
+    draw as the oracle draw_mixture_noise(m, k, dim, rng) makes it. Draws
+    past a class's m are padding (the Gumbel of u = 0.5, a zero Gaussian).
+    The Gumbel noise is stored components-first, so that softmaxes over K
     reduce a leading axis."""
-    u = np.full((n_steps, len(ms), max(ms), k), 0.5)
-    gauss = np.zeros(u.shape + (dim,))
+    shape = (n_steps, len(ms), max(ms), k)
+    gumbel, gauss, u = buffer.views((n_steps, len(ms), k, max(ms)), (*shape, dim), shape)
     for i, m in enumerate(ms):
+        u[:, i, m:] = 0.5
+        gauss[:, i, m:] = 0.0
         for s in range(n_steps):
             rng.random(out=u[s, i, :m])
             rng.standard_normal(out=gauss[s, i, :m])
-    return np.ascontiguousarray(_gumbel(u).swapaxes(2, 3)), gauss
+    np.copyto(gumbel, _gumbel(u).swapaxes(2, 3))
+    return gumbel, gauss
 
 
 class ClassGroup:
@@ -225,10 +262,13 @@ class ClassGroup:
     draws M; `row_w` (C, N) and `draw_w` (C, M) are 1/n and 1/m on a class's
     real rows and draws and 0 on padding. All noise of both phases is drawn
     here, in the order a per-class step draws it: class by class in the
-    given (ascending) order, n_phi_steps then n_mix_steps draws per class.
-    (The tests' `oracles.frozen_noise_group` replaces a group's noise with
-    one frozen draw for every step.) Updated parameters stay in the stacks
-    until `write_back`.
+    given (ascending) order, n_phi_steps then n_mix_steps draws per class,
+    into `noise` (a NoiseBuffer of the group's own if None): a later group
+    drawn into the same buffer overwrites this one's noise, so `otmm_step`
+    builds each group only once the one before has stepped. (The tests'
+    `oracles.frozen_noise_group` replaces a group's noise with one frozen
+    draw for every step.) Updated parameters stay in the stacks until
+    `write_back`.
     """
 
     def __init__(
@@ -239,6 +279,7 @@ class ClassGroup:
         potentials: list[DualPotential],
         cfg: OtmmConfig,
         rng: np.random.Generator,
+        noise: NoiseBuffer | None = None,
     ):
         ns = [f.shape[0] for f in features]
         if min(ns) == 0:
@@ -261,7 +302,8 @@ class ClassGroup:
         self.mixture = _Stack([mix.params for mix in mixtures])
         self.potential = _Stack([phi.params for phi in potentials])
 
-        gumbel, gauss = _draw_group_noise(ms, k, dim, cfg.n_phi_steps + cfg.n_mix_steps, rng)
+        n_steps = cfg.n_phi_steps + cfg.n_mix_steps
+        gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng, noise or NoiseBuffer())
         self.phi_noise = gumbel[: cfg.n_phi_steps], gauss[: cfg.n_phi_steps]
         self.mix_noise = gumbel[cfg.n_phi_steps :], gauss[cfg.n_phi_steps :]
 
@@ -289,14 +331,15 @@ def stacked_draws(
     """Draws x (..., C, M, d), as the oracle sample_mixture makes them,
     from Gumbel (..., C, K, M) and Gaussian (..., C, M, K, d) noise; the
     leading axes may hold several steps. Also returns what the gradient
-    needs: relaxed assignments y (..., C, K, M), weights pi (C, K), scales
+    needs: relaxed assignments y (..., C, K, M), computed in the `gumbel`
+    buffer (no step reads its Gumbel noise twice), weights pi (C, K), scales
     (C, K, d) and component draws (..., C, M, K, d), written to `out` if
     given (which may be `gauss` itself)."""
     alpha = mixture.v["alpha"]
     top = alpha.max(axis=1, keepdims=True)
     shifted = np.exp(alpha - top)
     total = shifted.sum(axis=1, keepdims=True)
-    logits = gumbel + (alpha - (top + np.log(total)))[:, :, None]
+    logits = np.add(gumbel, (alpha - (top + np.log(total)))[:, :, None], out=gumbel)
     logits *= 1.0 / tau
     logits -= logits.max(axis=-2, keepdims=True)
     y = np.exp(logits, out=logits)
@@ -426,7 +469,8 @@ def _group_ids(feats: dict[int, np.ndarray], cfg: OtmmConfig, k: int, dim: int) 
 
 
 class OtmmState:
-    """All per-class mixtures and potentials, created lazily on first sight.
+    """All per-class mixtures and potentials, created lazily on first sight,
+    and the `NoiseBuffer` that `otmm_step` draws their noise into.
 
     Init seeds derive from (seed, class id), so a rerun with the same stream
     builds bitwise-identical state regardless of class arrival order.
@@ -440,6 +484,7 @@ class OtmmState:
         self.seed = seed
         self.mixtures: dict[int, ClassMixture] = {}
         self.potentials: dict[int, DualPotential] = {}
+        self.noise = NoiseBuffer()
 
     def ensure_class(self, class_id: int, features: np.ndarray) -> None:
         if class_id in self.mixtures:
@@ -466,14 +511,19 @@ def otmm_step(
     Features must arrive detached (plain arrays). Classes not in the batch
     are untouched; classes seen for the first time get their mixture anchored
     on this batch's features. Classes are stepped in groups (ClassGroup,
-    GROUP_NOISE_BYTES), each phase once per group. Returns per-class
+    GROUP_NOISE_BYTES), each phase once per group, one group after the
+    other, each drawing its noise into `state.noise`. Returns per-class
     objective traces. The per-class autodiff loop it is tested against is
     built on `dual_objective` in `tests/oracles/`.
 
     A non-finite update raises NumericsError with the class id, phase and
-    parameter of the lowest-id failing class at the first failing step.
-    Nothing is then written for any class, and classes first seen in this
-    call are removed.
+    parameter of the lowest-id failing class at the first failing step of
+    the first group that fails. So the grouping decides which failure is
+    named: in one group, a class failing at an earlier step (every
+    potential step comes before every mixture step) is named before a lower
+    class failing at a later one, which a group of its own would have named
+    first. Nothing is then written for any class, and classes first seen in
+    this call are removed.
     """
     feats = {}
     for c in sorted(features_by_class):
@@ -494,6 +544,7 @@ def otmm_step(
                 [state.potentials[c] for c in ids],
                 cfg,
                 rng=rng,
+                noise=state.noise,
             )
             phi_values = update_phi(group, cfg)
             mix_values = update_mixture(group, cfg)

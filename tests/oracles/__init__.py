@@ -245,8 +245,9 @@ def frozen_noise_group(
     m, k = cfg.n_mix_samples or z.shape[0], mix.n_components
     noise = _draw_noise(m, k, mix.feat_dim, None, noise)
     n_steps = cfg.n_phi_steps + cfg.n_mix_steps
-    gumbel = np.broadcast_to(noise.gumbel.T, (n_steps, 1, k, m))
-    # a copy: update_phi turns its phase's Gaussian noise into draws in place
+    # copies: stacked_draws turns the Gumbel noise into assignments in place,
+    # and update_phi its phase's Gaussian noise into draws
+    gumbel = np.broadcast_to(noise.gumbel.T, (n_steps, 1, k, m)).copy()
     gauss = np.broadcast_to(noise.gauss, (n_steps, 1, *noise.gauss.shape)).copy()
     group.phi_noise = gumbel[: cfg.n_phi_steps], gauss[: cfg.n_phi_steps]
     group.mix_noise = gumbel[cfg.n_phi_steps :], gauss[cfg.n_phi_steps :]

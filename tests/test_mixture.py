@@ -6,6 +6,7 @@ algebra of each piece.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -365,6 +366,21 @@ def test_update_phi_frozen_noise_ascent_improves_objective():
     assert after >= before
 
 
+@pytest.mark.parametrize("phase", ["phi", "mixture"])
+def test_frozen_noise_group_steps_on_the_frozen_noise(phase):
+    # The first value of either phase is the oracle's value on the frozen
+    # noise (the mixture phase's with no potential steps before it); a group
+    # stepping on the noise it drew from its own generator is off by the
+    # Monte-Carlo error.
+    z, mix, phi, cfg, noise = random_problem(4, 7, 16, seed=13)
+    if phase == "mixture":
+        cfg = dataclasses.replace(cfg, n_phi_steps=0)
+    want = dual_objective(Tensor(z), mix, phi, cfg, noise=noise).item()
+    group = frozen_noise_group(z, mix, phi, cfg, noise)
+    got = (mx.update_phi if phase == "phi" else mx.update_mixture)(group, cfg)[0, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 def test_update_mixture_zero_steps_is_identity():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((4, 2))
@@ -693,6 +709,102 @@ def test_otmm_step_matches_autodiff_reference(monkeypatch):
         assert rng.random() == ref_rng.random()  # same stream position
 
 
+@pytest.mark.parametrize("n_phi_steps,n_mix_steps", [(0, 3), (5, 0)])
+def test_otmm_step_with_an_empty_phase_matches_autodiff_reference(n_phi_steps, n_mix_steps):
+    data_rng = np.random.default_rng(43)
+    feats = {1: data_rng.standard_normal((9, 4)), 3: data_rng.standard_normal((5, 4)) + 1.0}
+    state = mx.OtmmState(n_components=3, feat_dim=4, seed=1)
+    warm = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=16)
+    mx.otmm_step(feats, state, warm, np.random.default_rng(0))
+    ref_state = copy.deepcopy(state)
+
+    cfg = mx.OtmmConfig(
+        epsilon=0.5, tau=0.5, n_phi_steps=n_phi_steps, n_mix_steps=n_mix_steps, n_mix_samples=16
+    )
+    rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+    report = mx.otmm_step(feats, state, cfg, rng)
+    ref_report = reference_otmm_step(feats, ref_state, cfg, ref_rng)
+    assert report.keys() == ref_report.keys()
+    for c in report:
+        assert (len(report[c]["phi"]), len(report[c]["mixture"])) == (n_phi_steps, n_mix_steps)
+        for phase in ("phi", "mixture"):
+            np.testing.assert_allclose(report[c][phase], ref_report[c][phase], rtol=1e-10)
+        for params, ref_params in (
+            (state.mixtures[c].params, ref_state.mixtures[c].params),
+            (state.potentials[c].params, ref_state.potentials[c].params),
+        ):
+            for name in params.names():
+                np.testing.assert_allclose(params[name].data, ref_params[name].data, rtol=1e-10, atol=1e-13)
+    assert rng.random() == ref_rng.random()
+
+
+def test_noise_buffer_lays_views_end_to_end_and_grows_only_when_short():
+    buffer = mx.NoiseBuffer()
+    a, b = buffer.views((2, 3), (4,))
+    flat = buffer._flat
+    assert flat.size == 10 and a.shape == (2, 3) and b.shape == (4,)
+    a[...], b[...] = 1.0, 2.0
+    np.testing.assert_array_equal(flat, [1.0] * 6 + [2.0] * 4)
+    (c,) = buffer.views((3, 3))
+    assert buffer._flat is flat and np.shares_memory(c, flat)
+    buffer.views((11,))
+    assert buffer._flat is not flat and buffer._flat.size == 11
+
+
+def test_otmm_step_draws_every_group_into_the_state_noise_buffer(monkeypatch):
+    # Three classes of 2048 draws are three groups; each draws into the
+    # state's buffer, which a later batch of the same shape reuses.
+    rng = np.random.default_rng(45)
+    state = make_state(seed=6)
+    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=2048)
+    feats = {c: rng.standard_normal((4, 2)) for c in (0, 1, 2)}
+    shared = []
+    real = mx.update_phi
+
+    def spy(group, cfg):
+        noise = (*group.phi_noise, *group.mix_noise)
+        shared.append(all(np.shares_memory(a, state.noise._flat) for a in noise))
+        return real(group, cfg)
+
+    monkeypatch.setattr(mx, "update_phi", spy)
+    mx.otmm_step(feats, state, cfg, rng)
+    flat = state.noise._flat
+    mx.otmm_step(feats, state, cfg, rng)
+    assert shared == [True] * 6
+    assert state.noise._flat is flat
+
+
+@pytest.mark.parametrize("n_mix_samples", [None, 6])
+def test_stale_noise_buffer_contents_change_nothing(n_mix_samples):
+    # Classes of 3, 9 and 5 rows share a group, padded to 9 rows and, with
+    # one draw per row, to 9 draws. Whatever the buffer holds before a step
+    # (NaN or zeros), every parameter and value comes out byte for byte the
+    # same: padding is written, not left as found.
+    data_rng = np.random.default_rng(46)
+    batches = [
+        {c: data_rng.standard_normal((n, 2)) for c, n in ((0, 3), (1, 9), (4, 5))},
+        {1: data_rng.standard_normal((2, 2))},
+        {0: data_rng.standard_normal((7, 2)), 4: data_rng.standard_normal((4, 2))},
+    ]
+    cfg = mx.OtmmConfig(n_phi_steps=3, n_mix_steps=2, n_mix_samples=n_mix_samples)
+    runs = []
+    for stale in (np.nan, 0.0):
+        state, rng = make_state(seed=7), np.random.default_rng(47)
+        reports = []
+        for feats in batches:
+            state.noise._flat = np.full(4096, stale)
+            reports.append(mx.otmm_step(feats, state, cfg, rng))
+            assert state.noise._flat.size == 4096  # every group drew into it
+        params = {
+            (c, name): t.data.tobytes()
+            for c in state.known()
+            for ps in (state.mixtures[c].params, state.potentials[c].params)
+            for name, t in ps.items()
+        }
+        runs.append((reports, params))
+    assert runs[0] == runs[1]
+
+
 def test_stacked_potentials_run_the_extractor_kernel_bit_for_bit():
     # The transport step runs model.mlp_forward/mlp_backward on a _Stack of
     # potentials with a leading class axis; with equal row counts, every
@@ -795,6 +907,31 @@ def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch, n_m
             np.testing.assert_array_equal(state.mixtures[c].params[name].data, v)
         for name, v in phi_before.items():
             np.testing.assert_array_equal(state.potentials[c].params[name].data, v)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the error
+@pytest.mark.parametrize("bound,groups,named", [
+    (mx.GROUP_NOISE_BYTES, [[0]], (0, "mixture")),
+    (2 * 1024 * 1024, [[0, 5]], (5, "phi")),
+])
+def test_the_first_failing_group_names_the_failure(monkeypatch, bound, groups, named):
+    # Class 0 fails in its mixture phase (a rate that overflows the second
+    # step), class 5 in its potential phase (a NaN row). Under the shipped
+    # bound each class is a group, and class 0's fails before class 5's is
+    # stepped; in one group every potential phase runs before any mixture
+    # step, so class 5's failure is named.
+    rng = np.random.default_rng(53)
+    state = make_state(seed=5)
+    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=2048, lr_mix=1e300)
+    bad = rng.standard_normal((4, 2))
+    bad[1] = [np.nan, 0.0]
+    monkeypatch.setattr(mx, "GROUP_NOISE_BYTES", bound)
+    stepped = spy_on_groups(monkeypatch)
+    with pytest.raises(NumericsError) as info:
+        mx.otmm_step({0: rng.standard_normal((5, 2)), 5: bad}, state, cfg, rng)
+    assert stepped == groups
+    assert (info.value.class_id, info.value.phase) == named
+    assert state.known() == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the error
