@@ -176,11 +176,16 @@ def _load_model_and_test(args: argparse.Namespace):
             images, labels = (
                 os.path.join(args.data_dir, MNIST_FILES[k]) for k in ("test_images", "test_labels")
             )
-            return fe, state, meta, load_idx(images, labels)
-        with np.load(args.synth_npz) as z:
-            return fe, state, meta, Batch(z["test_features"], z["test_labels"].astype(np.int64))
+            test = load_idx(images, labels)
+        else:
+            with np.load(args.synth_npz) as z:
+                test = Batch(z["test_features"], z["test_labels"].astype(np.int64))
     except (ValueError, OSError, KeyError) as err:  # IdxError is a ValueError
         raise CliError(2, f"data error: {err}") from err
+    if test.features.ndim != 2 or test.features.shape[1] != meta["input_dim"]:
+        raise CliError(2, f"data error: test features of shape {test.features.shape} do not fit "
+                          f"the checkpoint's input dim {meta['input_dim']}")
+    return fe, state, meta, test
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -13,24 +13,22 @@ gradient. The potential ascends the objective, the mixture descends it —
 shrinking the entropic transport cost between the mixture and the class's
 data as batches stream by.
 
-The transport step runs on plain numpy arrays, one pass per group of
-classes rather than per class. `otmm_step` splits the classes of a batch
-into runs of consecutive ids whose pre-drawn noise fits GROUP_NOISE_BYTES,
-and a `ClassGroup` stacks each run's features, draws and parameters along a
-leading class axis, padded to its largest class and masked. `update_phi`
-and `update_mixture` then take every phase step once for the whole group,
-with the value and exact gradient of the side being updated in closed form;
-the frozen side is only evaluated. The stacked potentials run through the
-extractor's kernel, `model.mlp_forward`/`mlp_backward`, class axis leading.
-A group draws all of its noise before its first step, in the order a
-per-class loop would: classes in ascending id; per class n_phi_steps draws,
-then n_mix_steps draws; each draw rng.random((m, K)) followed by
-rng.standard_normal((m, K, d)). It draws into a buffer that the state keeps
-from group to group (`NoiseBuffer`), not into arrays of its own, so a batch
-does not hand that memory back to the kernel and fault it in again. Every
-step's new values are checked for finite values per class, and nothing is
-written back until every group of the call has stepped: a non-finite step
-leaves every class as it was.
+The transport step runs on plain numpy arrays, one pass per batch rather
+than per class. A `ClassGroup` stacks the features, draws and parameters of
+every class in the batch along a leading class axis, padded to the largest
+class and masked. `update_phi` and `update_mixture` then take every phase
+step once for all of them, with the value and exact gradient of the side
+being updated in closed form; the frozen side is only evaluated. The stacked
+potentials run through the extractor's kernel, `model.mlp_forward`/
+`mlp_backward`, class axis leading. The group draws all of its noise before
+its first step, in the order a per-class loop would: classes in ascending
+id; per class n_phi_steps draws, then n_mix_steps draws; each draw
+rng.random((m, K)) followed by rng.standard_normal((m, K, d)). It draws into
+a buffer that the state keeps from batch to batch (`NoiseBuffer`), not into
+arrays of its own, so a batch does not hand that memory back to the kernel
+and fault it in again. Every step's new values are checked for finite
+values per class, and nothing is written back until both phases have
+stepped: a non-finite step leaves every class as it was.
 The tests hold those gradients to `dual_objective`, which builds the same
 value as an autodiff graph in `tests/oracles/`.
 """
@@ -138,25 +136,15 @@ class DualPotential(MLP):
 # ---------------------------------------------------------------------------
 # class-stacked transport step
 #
-# The classes of a batch are stepped in groups. A group stacks each class's
-# features, draws and parameters along a leading class axis (C, ...), padded
-# to its largest class: padded feature rows get -inf in the soft-min and zero
-# weight in every mean, padded draws zero weight. Every phase step is then
-# one pass of batched array calls for the whole group. The value is the
-# oracle `dual_objective`'s, with squared distances taken as
-# |x|^2 + |z|^2 - 2 x.z, so steps agree with it up to rounding.
-
-# Bound on the noise one group draws up front, padded to its most draws. A
-# group is a run of consecutive classes under it (a class over it on its own
-# is a group of one), so the step's transient memory does not grow with the
-# number of classes in a batch. 512 KiB holds four classes of 64 draws with
-# K=4, d=8 and 7 steps (the a05 stream). The bound also fixes each run's
-# rounding: a class's potential values round by its group's padded row count
-# (OpenBLAS's matrix-vector kernel takes rows in blocks of 4), so another
-# bound regroups classes and moves their parameters by a few ulps. 2 MiB
-# makes one group per a05 batch and ran those batches 15% faster, but moved
-# every checkpointed mixture and potential in that way.
-GROUP_NOISE_BYTES = 512 * 1024
+# The classes of a batch are stepped as one group, stacked along a leading
+# class axis (C, ...) and padded to the largest class: padded feature rows
+# get -inf in the soft-min and zero weight in every mean, padded draws zero
+# weight. Every phase step is then one pass of batched array calls for the
+# whole batch. The value is the oracle `dual_objective`'s, with squared
+# distances taken as |x|^2 + |z|^2 - 2 x.z, so steps agree with it up to
+# rounding. A class's values round by the batch's padded row count
+# (OpenBLAS's matrix-vector kernel takes rows in blocks of 4), so a class
+# stepped beside a larger one moves by a few ulps against it stepped alone.
 
 
 class _Stack:
@@ -210,12 +198,12 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
 
 
 class NoiseBuffer:
-    """A float64 buffer that `otmm_step` draws every group's noise into.
+    """A float64 buffer that `otmm_step` draws each batch's noise into.
 
     `views(*shapes)` lays one array per shape end to end in it, growing it
     first if they do not fit; they hold whatever was there before and are
     valid until the next call. Kept by the `OtmmState`, the buffer lives as
-    long as the run. Noise arrays of each group's own made glibc hand the
+    long as the run. Noise arrays of each batch's own made glibc hand the
     heap top back to the kernel and fault it in again: a fresh process
     stepping the a05 stream took 26K to 56K minor page faults in its 320
     batches (input seeds 1-3), and about 3K with this buffer."""
@@ -263,12 +251,10 @@ class ClassGroup:
     real rows and draws and 0 on padding. All noise of both phases is drawn
     here, in the order a per-class step draws it: class by class in the
     given (ascending) order, n_phi_steps then n_mix_steps draws per class,
-    into `noise` (a NoiseBuffer of the group's own if None): a later group
-    drawn into the same buffer overwrites this one's noise, so `otmm_step`
-    builds each group only once the one before has stepped. (The tests'
-    `oracles.frozen_noise_group` replaces a group's noise with one frozen
-    draw for every step.) Updated parameters stay in the stacks until
-    `write_back`.
+    into `noise`, which the next group drawn into the same buffer
+    overwrites. (The tests' `oracles.frozen_noise_group` replaces a group's
+    noise with one frozen draw for every step.) Updated parameters stay in
+    the stacks until `write_back`.
     """
 
     def __init__(
@@ -279,7 +265,7 @@ class ClassGroup:
         potentials: list[DualPotential],
         cfg: OtmmConfig,
         rng: np.random.Generator,
-        noise: NoiseBuffer | None = None,
+        noise: NoiseBuffer,
     ):
         ns = [f.shape[0] for f in features]
         if min(ns) == 0:
@@ -303,16 +289,9 @@ class ClassGroup:
         self.potential = _Stack([phi.params for phi in potentials])
 
         n_steps = cfg.n_phi_steps + cfg.n_mix_steps
-        gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng, noise or NoiseBuffer())
+        gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng, noise)
         self.phi_noise = gumbel[: cfg.n_phi_steps], gauss[: cfg.n_phi_steps]
         self.mix_noise = gumbel[cfg.n_phi_steps :], gauss[cfg.n_phi_steps :]
-
-    def release(self) -> None:
-        """Free the noise and gradient buffers; the updated parameters stay
-        for write_back."""
-        self.phi_noise = self.mix_noise = None
-        for stack in (self.mixture, self.potential):
-            stack.grad = stack.g = None
 
     def write_back(self) -> None:
         """Copy the stacked parameters into each class's ParamSets."""
@@ -451,23 +430,6 @@ def update_mixture(group: ClassGroup, cfg: OtmmConfig) -> np.ndarray:
     return values
 
 
-def _group_ids(feats: dict[int, np.ndarray], cfg: OtmmConfig, k: int, dim: int) -> list[list[int]]:
-    """Runs of consecutive class ids whose noise, padded to the run's most
-    draws, fits GROUP_NOISE_BYTES."""
-    per_draw = (cfg.n_phi_steps + cfg.n_mix_steps) * k * (dim + 1) * 8
-    groups: list[list[int]] = []
-    most = 0
-    for c, f in feats.items():
-        m = cfg.n_mix_samples or f.shape[0]
-        if groups and (len(groups[-1]) + 1) * max(most, m) * per_draw <= GROUP_NOISE_BYTES:
-            groups[-1].append(c)
-            most = max(most, m)
-        else:
-            groups.append([c])
-            most = m
-    return groups
-
-
 class OtmmState:
     """All per-class mixtures and potentials, created lazily on first sight,
     and the `NoiseBuffer` that `otmm_step` draws their noise into.
@@ -510,55 +472,51 @@ def otmm_step(
 
     Features must arrive detached (plain arrays). Classes not in the batch
     are untouched; classes seen for the first time get their mixture anchored
-    on this batch's features. Classes are stepped in groups (ClassGroup,
-    GROUP_NOISE_BYTES), each phase once per group, one group after the
-    other, each drawing its noise into `state.noise`. Returns per-class
+    on this batch's features. Every class of the call is stepped in one
+    ClassGroup, each phase once, drawing its noise into `state.noise`. That
+    noise is the step's transient memory: C·M·(n_phi_steps + n_mix_steps)·
+    K·(d+2)·8 bytes for C classes of at most M draws each, and a joint batch
+    holds at most twice the batch size in classes. Returns per-class
     objective traces. The per-class autodiff loop it is tested against is
     built on `dual_objective` in `tests/oracles/`.
 
     A non-finite update raises NumericsError with the class id, phase and
-    parameter of the lowest-id failing class at the first failing step of
-    the first group that fails. So the grouping decides which failure is
-    named: in one group, a class failing at an earlier step (every
-    potential step comes before every mixture step) is named before a lower
-    class failing at a later one, which a group of its own would have named
-    first. Nothing is then written for any class, and classes first seen in
-    this call are removed.
+    parameter of the lowest-id failing class at the first failing step, and
+    every potential step comes before every mixture step. Nothing is then
+    written for any class, and classes first seen in this call are removed.
     """
     feats = {}
     for c in sorted(features_by_class):
         f = np.asarray(features_by_class[c], dtype=np.float64)
         if f.shape[0]:
             feats[c] = f
+    if not feats:
+        return {}
     new = [c for c in feats if c not in state.mixtures]
     for c, f in feats.items():
         state.ensure_class(c, f)
-    report: dict[int, dict[str, list[float]]] = {}
-    stepped: list[ClassGroup] = []
+    ids = list(feats)
     try:
-        for ids in _group_ids(feats, cfg, state.n_components, state.feat_dim):
-            group = ClassGroup(
-                ids,
-                [feats[c] for c in ids],
-                [state.mixtures[c] for c in ids],
-                [state.potentials[c] for c in ids],
-                cfg,
-                rng=rng,
-                noise=state.noise,
-            )
-            phi_values = update_phi(group, cfg)
-            mix_values = update_mixture(group, cfg)
-            for i, c in enumerate(ids):
-                report[c] = {"phi": phi_values[:, i].tolist(), "mixture": mix_values[:, i].tolist()}
-            group.release()
-            stepped.append(group)
+        group = ClassGroup(
+            ids,
+            list(feats.values()),
+            [state.mixtures[c] for c in ids],
+            [state.potentials[c] for c in ids],
+            cfg,
+            rng,
+            state.noise,
+        )
+        phi_values = update_phi(group, cfg)
+        mix_values = update_mixture(group, cfg)
     except NumericsError:
         for c in new:
             del state.mixtures[c], state.potentials[c]
         raise
-    for group in stepped:
-        group.write_back()
-    return report
+    group.write_back()
+    return {
+        c: {"phi": phi_values[:, i].tolist(), "mixture": mix_values[:, i].tolist()}
+        for i, c in enumerate(ids)
+    }
 
 
 def split_by_class(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from otcl.autodiff import ParamSet, Tensor
 from otcl.losses import _class_weights
-from otcl.mixture import ClassGroup, ClassMixture, DualPotential, OtmmConfig, _gumbel
+from otcl.mixture import ClassGroup, ClassMixture, DualPotential, NoiseBuffer, OtmmConfig, _gumbel
 from otcl.model import ClassPrototypes
 
 from . import graph
@@ -241,7 +241,7 @@ def frozen_noise_group(
 ) -> ClassGroup:
     """A `ClassGroup` of one class whose every step reuses the frozen
     `noise`, in place of the noise the group drew from its generator."""
-    group = ClassGroup([0], [z], [mix], [phi], cfg, np.random.default_rng(0))
+    group = ClassGroup([0], [z], [mix], [phi], cfg, np.random.default_rng(0), NoiseBuffer())
     m, k = cfg.n_mix_samples or z.shape[0], mix.n_components
     noise = _draw_noise(m, k, mix.feat_dim, None, noise)
     n_steps = cfg.n_phi_steps + cfg.n_mix_steps

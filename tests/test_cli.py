@@ -484,3 +484,28 @@ def test_eval_missing_idx_test_file_is_data_error(idx_run, missing, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("source", ["idx", "npz"])
+def test_test_set_of_the_wrong_width_is_data_error(command, source, toy_config, tmp_path, capsys):
+    # the checkpoint's extractor takes 2 features; an IDX directory gives 36
+    # pixels a row and a --dim 3 gen-synth file 3 features
+    ckpt = run_to_checkpoint(toy_config, tmp_path)
+    if source == "idx":
+        data = tmp_path / "idx"
+        data.mkdir()
+        labels = np.repeat(np.arange(2), 5)
+        images = np.random.default_rng(0).integers(0, 256, size=(labels.size, 6, 6))
+        write_idx(data / MNIST_FILES["test_images"], data / MNIST_FILES["test_labels"], images, labels)
+        flags = ["--data-dir", str(data)]
+    else:
+        data = tmp_path / "dim3.npz"
+        assert main(["gen-synth", "--out", str(data), "--dim", "3", "--samples-per-class", "20"]) == 0
+        flags = ["--synth-npz", str(data)]
+    out = ["--out", str(tmp_path / "emb.csv")] if command == "export-embeddings" else []
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(ckpt), *flags, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "input dim 2" in err
+    assert not (tmp_path / "emb.csv").exists()

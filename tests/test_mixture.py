@@ -77,7 +77,7 @@ def step_alone(phase, z, mix, phi, cfg, rng=None, noise=None) -> list[float]:
     """One phase of the stacked step for a group of one class, written back."""
     z = np.asarray(z, dtype=np.float64)
     if noise is None:
-        group = mx.ClassGroup([0], [z], [mix], [phi], cfg, rng)
+        group = mx.ClassGroup([0], [z], [mix], [phi], cfg, rng, mx.NoiseBuffer())
     else:
         group = frozen_noise_group(z, mix, phi, cfg, noise)
     values = (mx.update_phi if phase == "phi" else mx.update_mixture)(group, cfg)
@@ -668,9 +668,8 @@ def spy_on_groups(monkeypatch) -> list[list[int]]:
 
 
 def test_otmm_step_matches_autodiff_reference(monkeypatch):
-    # Four classes of 25 to 64 rows with K=4, d=12: the noise of two classes
-    # fits GROUP_NOISE_BYTES and that of three does not, so the step runs two
-    # stacked groups.
+    # Four classes of 25 to 64 rows with K=4, d=12, stepped as one stacked
+    # group padded to the largest class.
     data_rng = np.random.default_rng(40)
     feats = {
         0: data_rng.standard_normal((40, 12)),
@@ -692,7 +691,7 @@ def test_otmm_step_matches_autodiff_reference(monkeypatch):
         rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
         report = mx.otmm_step(feats, state, cfg, rng)
         ref_report = reference_otmm_step(feats, ref_state, cfg, ref_rng)
-        assert groups == [[0, 2], [5, 7]]
+        assert groups == [[0, 2, 5, 7]]
 
         assert report.keys() == ref_report.keys()
         for c in report:
@@ -752,7 +751,7 @@ def test_noise_buffer_lays_views_end_to_end_and_grows_only_when_short():
 
 
 def test_otmm_step_draws_every_group_into_the_state_noise_buffer(monkeypatch):
-    # Three classes of 2048 draws are three groups; each draws into the
+    # Three classes of 2048 draws are one group per call; it draws into the
     # state's buffer, which a later batch of the same shape reuses.
     rng = np.random.default_rng(45)
     state = make_state(seed=6)
@@ -770,7 +769,7 @@ def test_otmm_step_draws_every_group_into_the_state_noise_buffer(monkeypatch):
     mx.otmm_step(feats, state, cfg, rng)
     flat = state.noise._flat
     mx.otmm_step(feats, state, cfg, rng)
-    assert shared == [True] * 6
+    assert shared == [True] * 2
     assert state.noise._flat is flat
 
 
@@ -879,14 +878,12 @@ def test_nonfinite_features_raise_at_origin_and_leave_class_unchanged():
             np.testing.assert_array_equal(state.potentials[c].params[name].data, v)
 
 
-@pytest.mark.parametrize("n_mix_samples,groups", [(8, [[0, 3, 5]]), (2048, [[0], [3], [5]])])
-def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch, n_mix_samples, groups):
-    # Classes 0 and 5 exist, 3 is new; 5 fails. With 8 draws the three share
-    # a group; with 2048 each class's noise fills a group on its own, and the
-    # groups stepped before the failing one must not be written either.
+def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch):
+    # Classes 0 and 5 exist, 3 is new; 5 fails. The three share a group, and
+    # the classes below the failing one must not be written either.
     rng = np.random.default_rng(52)
     state = make_state(seed=4)
-    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=n_mix_samples)
+    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=8)
     mx.otmm_step({0: rng.standard_normal((4, 2)), 5: rng.standard_normal((6, 2))}, state, cfg, rng)
     before = {
         c: (param_arrays(state.mixtures[c].params), param_arrays(state.potentials[c].params))
@@ -899,7 +896,7 @@ def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch, n_m
         mx.otmm_step(
             {0: rng.standard_normal((4, 2)), 3: rng.standard_normal((3, 2)), 5: bad}, state, cfg, rng
         )
-    assert stepped == groups
+    assert stepped == [[0, 3, 5]]
     assert (info.value.class_id, info.value.phase) == (5, "phi")
     assert state.known() == [0, 5]
     for c, (mix_before, phi_before) in before.items():
@@ -910,27 +907,21 @@ def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch, n_m
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf on the way to the error
-@pytest.mark.parametrize("bound,groups,named", [
-    (mx.GROUP_NOISE_BYTES, [[0]], (0, "mixture")),
-    (2 * 1024 * 1024, [[0, 5]], (5, "phi")),
-])
-def test_the_first_failing_group_names_the_failure(monkeypatch, bound, groups, named):
+def test_the_first_failing_group_names_the_failure(monkeypatch):
     # Class 0 fails in its mixture phase (a rate that overflows the second
-    # step), class 5 in its potential phase (a NaN row). Under the shipped
-    # bound each class is a group, and class 0's fails before class 5's is
-    # stepped; in one group every potential phase runs before any mixture
-    # step, so class 5's failure is named.
+    # step), class 5 in its potential phase (a NaN row). Both are one group,
+    # whose every potential step runs before any mixture step, so class 5's
+    # failure is named although class 0 is lower.
     rng = np.random.default_rng(53)
     state = make_state(seed=5)
     cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=2048, lr_mix=1e300)
     bad = rng.standard_normal((4, 2))
     bad[1] = [np.nan, 0.0]
-    monkeypatch.setattr(mx, "GROUP_NOISE_BYTES", bound)
     stepped = spy_on_groups(monkeypatch)
     with pytest.raises(NumericsError) as info:
         mx.otmm_step({0: rng.standard_normal((5, 2)), 5: bad}, state, cfg, rng)
-    assert stepped == groups
-    assert (info.value.class_id, info.value.phase) == named
+    assert stepped == [[0, 5]]
+    assert (info.value.class_id, info.value.phase) == (5, "phi")
     assert state.known() == []
 
 
