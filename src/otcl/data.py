@@ -7,13 +7,17 @@ per task, fixed ascending order, shuffled batches within each task).
 
 Data travels as `Batch`: one (n, dim) feature array plus its int64 labels,
 from the readers through the stream to the replay memory. Iterating a
-`Batch` yields its rows as `LabeledSample`s. IDX pixels stay uint8 as read
-until `as_float` scales them, as a stream batch is gathered or a chunk
-enters the model; a stream task holds row indices, not rows.
+`Batch` yields its rows as `LabeledSample`s. IDX pixels stay uint8, mapped
+from the file, until `as_float` scales them, as a stream batch is gathered
+or a chunk enters the model; a stream task holds row indices, not rows, so
+only the pixel rows a run gathers are ever read from disk.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -119,12 +123,17 @@ def _read_u32(f, path) -> int:
 
 
 def load_idx(images_path, labels_path) -> Batch:
-    """Read an IDX image/label file pair into one Batch: the uint8 pixels as
-    read (a read-only view of the file bytes, one row per image) and int64
+    """Read an IDX image/label file pair into one Batch: the uint8 pixels
+    (a read-only view of the image file, one row per image) and int64
     labels.
 
-    Order is preserved. Raises BadMagicError / CountMismatchError /
-    TruncatedFileError so callers can tell a wrong file from a damaged one.
+    The pixels are mapped, not read: only the rows a caller touches become
+    resident, and a file whose header claims more pixels than it holds is
+    rejected before anything is allocated. The image file must therefore
+    not be truncated or rewritten in place while the result is in use
+    (`write_idx` replaces files instead). Order is preserved. Raises
+    BadMagicError / CountMismatchError / TruncatedFileError so callers can
+    tell a wrong file from a damaged one.
     """
     with open(images_path, "rb") as f:
         magic = _read_u32(f, images_path)
@@ -133,12 +142,15 @@ def load_idx(images_path, labels_path) -> Batch:
         n = _read_u32(f, images_path)
         rows = _read_u32(f, images_path)
         cols = _read_u32(f, images_path)
-        raw = f.read(n * rows * cols)
-        if len(raw) != n * rows * cols:
+        header = f.tell()
+        have = os.fstat(f.fileno()).st_size - header
+        if have < n * rows * cols:
             raise TruncatedFileError(
-                f"{images_path}: expected {n * rows * cols} pixel bytes, got {len(raw)}"
+                f"{images_path}: expected {n * rows * cols} pixel bytes, got {have}"
             )
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    pixels = np.frombuffer(mapped, np.uint8, count=n * rows * cols, offset=header)
+    pixels = pixels.reshape(n, rows * cols)
 
     with open(labels_path, "rb") as f:
         magic = _read_u32(f, labels_path)
@@ -161,7 +173,9 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     """Write a uint8 image stack (n, rows, cols) and labels as an IDX pair.
 
     Writes test fixtures and the benchmark's MNIST-shaped stand-in; load_idx
-    must round-trip anything written here.
+    must round-trip anything written here. Each file is written beside its
+    target and renamed over it, so pixels that `load_idx` mapped from an
+    older file keep their bytes.
     """
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
@@ -170,16 +184,37 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     if images.shape[0] != labels.shape[0]:
         raise ValueError("one label per image required")
     n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, n))
-        f.write(labels.tobytes())
+    _replace_file(images_path, struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols), images.tobytes())
+    _replace_file(labels_path, struct.pack(">II", LABEL_MAGIC, n), labels.tobytes())
+
+
+def _replace_file(path, *chunks: bytes) -> None:
+    """Write `chunks` to a new file in `path`'s directory, then rename it over `path`."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # task streams
+
+
+def present_classes(labels: np.ndarray) -> np.ndarray:
+    """The sorted class ids present in a 1-D array of non-negative integer
+    labels: `np.unique`'s values, without the `numpy.ma` import that a plain
+    `np.unique` call triggers."""
+    labels = np.asarray(labels)
+    if labels.size and labels.min() < 0:
+        negative = sorted(set(labels[labels < 0].tolist()))
+        raise ValueError(f"class labels must be non-negative, got {negative}")
+    return np.flatnonzero(np.bincount(labels))
 
 
 def task_blocks(
@@ -221,7 +256,7 @@ def make_split_stream(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    classes = np.unique(data.labels)
+    classes = present_classes(data.labels)
     if num_tasks * classes_per_task != len(classes):
         raise ValueError(
             f"{num_tasks} tasks x {classes_per_task} classes != {len(classes)} classes present"
@@ -269,9 +304,10 @@ class SynthSpec:
             raise ValueError("mode_scale must be non-negative")
         if centers.shape[:2] != (self.num_classes, self.modes_per_class):
             raise ValueError("mode_centers must be (num_classes, modes_per_class, dim)")
+        pairs = np.triu_indices(self.modes_per_class, 1)
         for c in range(self.num_classes):
-            uniq = np.unique(centers[c], axis=0)
-            if uniq.shape[0] != self.modes_per_class:
+            same = (centers[c][:, None] == centers[c][None]).all(axis=-1)
+            if same[pairs].any():
                 raise ValueError(f"class {c} has duplicate mode centers")
         object.__setattr__(self, "mode_centers", centers)
 

@@ -37,6 +37,7 @@ from .data import (
     gen_synthetic,
     load_idx,
     make_split_stream,
+    present_classes,
     split_tasks,
 )
 from .losses import PreservationConfig, dynamic_preservation_step
@@ -292,7 +293,7 @@ class Learner:
         otmm_step(split_by_class(feats, y), state, cfg.otmm, self.otmm_rng)
 
         new_feats = feats[: len(batch)]
-        for c in np.unique(batch.labels).tolist():
+        for c in present_classes(batch.labels).tolist():
             mask = batch.labels == c
             class_batch = Batch(features=batch.features[mask], labels=batch.labels[mask])
             if cfg.random_insertion:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericsError, ParamSet
-from .data import Batch
+from .data import Batch, present_classes
 from .model import ClassPrototypes, FeatureExtractor
 
 
@@ -62,7 +62,7 @@ def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[in
         raise ValueError("empty batch")
     features = np.asarray(features, dtype=np.float64)
     return {
-        int(c): features[labels == c].mean(axis=0) for c in np.unique(labels)
+        int(c): features[labels == c].mean(axis=0) for c in present_classes(labels)
     }
 
 

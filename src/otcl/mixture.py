@@ -42,6 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, ParamSet, Tensor
+from .data import present_classes
 from .model import MLP, Layers, mlp_backward, mlp_forward
 
 POTENTIAL_WIDTH = 64
@@ -522,4 +523,4 @@ def otmm_step(
 def split_by_class(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
     """Group detached feature rows by label for the per-class updates."""
     labels = np.asarray(labels)
-    return {int(c): features[labels == c] for c in np.unique(labels)}
+    return {int(c): features[labels == c] for c in present_classes(labels)}

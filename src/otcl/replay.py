@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Batch
+from .data import Batch, present_classes
 
 
 class ReplayMemory:
@@ -68,7 +68,7 @@ class ReplayMemory:
 
 def _checked_class(mem: ReplayMemory, batch: Batch, features=None, centroids=None) -> int:
     """The batch's one class, checked before it registers: a rejected call changes nothing."""
-    labels = np.unique(batch.labels)
+    labels = present_classes(batch.labels)
     if labels.size != 1:
         raise ValueError("insertion expects a single-class batch")
     if mem.rows is not None and batch.features.shape[1:] != mem.rows.shape[1:]:

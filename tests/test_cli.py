@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -484,6 +485,19 @@ def test_eval_missing_idx_test_file_is_data_error(idx_run, missing, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_eval_of_an_image_count_past_the_file_is_data_error(idx_run, capsys):
+    # the header claims 2**31 images of 28x28 pixels: the reader rejects the
+    # file by its size instead of trying to allocate 1.7 TB for them
+    data_dir, ckpt = idx_run
+    images = data_dir / MNIST_FILES["test_images"]
+    blob = bytearray(images.read_bytes())
+    blob[4:16] = struct.pack(">III", 2**31, 28, 28)
+    images.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir)]) == 2
+    assert "expected 1683627180032 pixel bytes, got 1440" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])

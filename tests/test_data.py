@@ -77,6 +77,71 @@ class TestIdx:
         with pytest.raises(d.TruncatedFileError):
             d.load_idx(ip, lp)
 
+    def test_header_count_past_the_file_is_truncation_not_an_allocation(self, tmp_path):
+        # a 2-image 28x28 file whose header claims 2**31 images: reading the
+        # claimed 1.7 TB of pixels would raise MemoryError before any check
+        ip, lp = make_idx_pair(tmp_path, np.zeros((2, 28, 28), np.uint8), [0, 1])
+        blob = bytearray(ip.read_bytes())
+        blob[4:8] = struct.pack(">I", 2**31)
+        ip.write_bytes(bytes(blob))
+        with pytest.raises(d.TruncatedFileError, match="got 1568"):
+            d.load_idx(ip, lp)
+
+    def test_pixels_are_a_read_only_view_of_the_written_bytes(self, tmp_path):
+        images = np.random.default_rng(1).integers(0, 256, size=(30, 4, 5), dtype=np.uint8)
+        ip, lp = make_idx_pair(tmp_path, images, np.arange(30) % 3)
+        batch = d.load_idx(ip, lp)
+        assert type(batch.features) is np.ndarray
+        assert not batch.features.flags.writeable
+        assert batch.features.shape == (30, 20)
+        assert batch.features.tobytes() == images.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            batch.features[0, 0] = 1
+
+    def test_zero_images_load(self, tmp_path):
+        ip, lp = make_idx_pair(tmp_path, np.zeros((0, 28, 28), np.uint8), [])
+        batch = d.load_idx(ip, lp)
+        assert batch.features.shape == (0, 784) and batch.features.dtype == np.uint8
+        assert batch.labels.shape == (0,) and batch.labels.dtype == np.int64
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        images = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+        ip, lp = make_idx_pair(tmp_path, images, [4, 5])
+        ip.write_bytes(ip.read_bytes() + b"\xff" * 7)
+        lp.write_bytes(lp.read_bytes() + b"\x09" * 3)
+        batch = d.load_idx(ip, lp)
+        assert batch.features.tobytes() == images.tobytes()
+        assert batch.labels.tolist() == [4, 5]
+
+    def test_load_copies_no_pixels(self, tmp_path):
+        # the pixels are mapped from the file: loading a 20000 x 784 pair
+        # (15.7 MB of pixels) allocates only the labels and their int64 copy
+        images = np.random.default_rng(2).integers(0, 256, size=(20000, 28, 28), dtype=np.uint8)
+        ip, lp = make_idx_pair(tmp_path, images, np.arange(20000) % 10)
+        del images
+        tracemalloc.start()
+        try:
+            batch = d.load_idx(ip, lp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.features.shape == (20000, 784)
+        assert peak < 1_000_000
+
+    def test_rewriting_a_loaded_pair_leaves_the_loaded_batch_intact(self, tmp_path):
+        # write_idx replaces the files instead of truncating them, so the
+        # pixels mapped from the old image file keep their bytes (truncating
+        # a mapped file makes a later read of its rows a SIGBUS)
+        rng = np.random.default_rng(3)
+        old = rng.integers(0, 256, size=(50, 8, 8), dtype=np.uint8)
+        ip, lp = make_idx_pair(tmp_path, old, np.arange(50) % 5)
+        batch = d.load_idx(ip, lp)
+        d.write_idx(ip, lp, rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8), [1, 1, 1])
+        assert batch.features.tobytes() == old.tobytes()
+        assert batch.labels.tolist() == (np.arange(50) % 5).tolist()
+        assert d.load_idx(ip, lp).labels.tolist() == [1, 1, 1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t-images", "t-labels"]
+
     def test_distinct_error_types(self):
         kinds = {d.BadMagicError, d.CountMismatchError, d.TruncatedFileError}
         assert len(kinds) == 3
@@ -121,6 +186,21 @@ def toy_dataset(n_per_class=12, num_classes=4, dim=3, seed=0) -> d.Batch:
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
     order = rng.permutation(len(labels))
     return d.Batch(features[order], labels[order])
+
+
+class TestPresentClasses:
+    @given(st.lists(st.integers(0, 40), max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_unique(self, labels):
+        got = d.present_classes(np.array(labels, dtype=np.int64))
+        assert got.tolist() == np.unique(np.array(labels, dtype=np.int64)).tolist()
+
+    def test_accepts_uint8_labels(self):
+        assert d.present_classes(np.array([9, 0, 9, 3], np.uint8)).tolist() == [0, 3, 9]
+
+    def test_negative_labels_rejected_by_value(self):
+        with pytest.raises(ValueError, match=r"non-negative, got \[-7, -1\]"):
+            d.present_classes(np.array([2, -1, 0, -7, -1]))
 
 
 class TestSplitStream:
@@ -255,6 +335,15 @@ class TestSynthetic:
         centers = np.zeros((1, 2, 2))
         with pytest.raises(ValueError, match="duplicate"):
             d.SynthSpec(1, 2, centers, 0.1, 10)
+
+    def test_only_a_class_with_two_equal_centers_is_rejected(self):
+        # class 1's first and third centers are equal; every other pair,
+        # within a class or across classes, differs in at least one coordinate
+        centers = np.array([[[0, 0], [0, 1], [1, 0]], [[2, 2], [0, 0], [2, 2]]], dtype=float)
+        with pytest.raises(ValueError, match="class 1 has duplicate"):
+            d.SynthSpec(2, 3, centers, 0.1, 10)
+        centers[1, 2, 1] = 3
+        d.SynthSpec(2, 3, centers, 0.1, 10)
 
     @pytest.mark.parametrize("num_classes, samples_per_class", [(0, 10), (1, 0), (1, 1), (1, 2)])
     def test_empty_class_set_or_split_side_rejected(self, num_classes, samples_per_class):

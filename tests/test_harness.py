@@ -640,6 +640,49 @@ def test_a_run_gives_the_one_thread_bytes_whatever_the_environment(tmp_path):
     assert outputs[0][1] == 1
 
 
+NO_MASKED_ARRAYS_RUN = """
+import json, sys
+
+import numpy as np
+
+at_import = "numpy.ma" in sys.modules
+
+from otcl.data import SynthSpec, ring_centers, write_idx
+from otcl.harness import MNIST_FILES, RunConfig, run_experiment
+
+rng = np.random.default_rng(0)
+tiles = rng.integers(0, 256, size=(4, 1, 8, 8))
+for split, n in (("train", 20), ("test", 5)):
+    images = np.clip(tiles + rng.integers(-12, 13, size=(4, n, 8, 8)), 0, 255)
+    write_idx(MNIST_FILES[split + "_images"], MNIST_FILES[split + "_labels"],
+              images.reshape(-1, 8, 8), np.repeat(np.arange(4), n))
+spec = SynthSpec(4, 2, ring_centers(4, 2, radius=1.0), 0.3, 30)
+tiny = dict(num_tasks=2, memory_size=20, feat_dim=8, hidden_dim=16, out_dir="out")
+run_experiment(RunConfig(dataset="mnist", data_dir=".", **tiny))
+run_experiment(RunConfig(synth=spec, **tiny))
+print(json.dumps([at_import, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_a_run_never_imports_masked_arrays(tmp_path):
+    """An IDX run and a synthetic run, set-up included, import no
+    `numpy.ma`: a plain `np.unique` would, and that import costs a fresh
+    process about 5 ms before its first batch. The run is its own process,
+    at one BLAS thread, so nothing imported earlier hides the import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = os.environ | {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS_RUN], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_run = json.loads(proc.stdout.strip().splitlines()[-1])
+    if at_import:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert not after_run
+
+
 def test_a_run_holds_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
     import otcl.harness as hz
     from otcl import model
