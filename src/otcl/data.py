@@ -175,10 +175,11 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     Writes test fixtures and the benchmark's MNIST-shaped stand-in; load_idx
     must round-trip anything written here. Each file is written beside its
     target and renamed over it, so pixels that `load_idx` mapped from an
-    older file keep their bytes.
+    older file keep their bytes. A value that a byte cannot hold (outside
+    0..255, fractional or NaN) raises `ValueError` before either is written.
     """
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    images = _as_uint8(images, "pixel")
+    labels = _as_uint8(labels, "label")
     if images.ndim != 3:
         raise ValueError("images must be (n, rows, cols)")
     if images.shape[0] != labels.shape[0]:
@@ -186,6 +187,17 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     n, rows, cols = images.shape
     _replace_file(images_path, struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols), images.tobytes())
     _replace_file(labels_path, struct.pack(">II", LABEL_MAGIC, n), labels.tobytes())
+
+
+def _as_uint8(values, what: str) -> np.ndarray:
+    """`values` as uint8, or `ValueError` naming the first value the cast changes."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8:
+        fits = ((values >= 0) & (values <= 255) & (values == np.round(values))).ravel()
+        if not fits.all():
+            bad = values.ravel()[np.argmin(fits)].item()
+            raise ValueError(f"{what} {bad!r} does not fit in a byte (0..255)")
+    return values.astype(np.uint8, copy=False)
 
 
 def _replace_file(path, *chunks: bytes) -> None:
@@ -215,6 +227,13 @@ def present_classes(labels: np.ndarray) -> np.ndarray:
         negative = sorted(set(labels[labels < 0].tolist()))
         raise ValueError(f"class labels must be non-negative, got {negative}")
     return np.flatnonzero(np.bincount(labels))
+
+
+def class_rows(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Each class in 1-D non-negative integer labels, ascending, with the
+    ascending indices of its rows: the one per-class view of a batch."""
+    labels = np.asarray(labels)
+    return {c: np.flatnonzero(labels == c) for c in present_classes(labels).tolist()}
 
 
 def task_blocks(

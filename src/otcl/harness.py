@@ -34,10 +34,10 @@ from .autodiff import NumericsError
 from .data import (
     Batch,
     SynthSpec,
+    class_rows,
     gen_synthetic,
     load_idx,
     make_split_stream,
-    present_classes,
     split_tasks,
 )
 from .losses import PreservationConfig, dynamic_preservation_step
@@ -47,7 +47,6 @@ from .mixture import (
     OtmmConfig,
     OtmmState,
     otmm_step,
-    split_by_class,
 )
 from .model import (
     ClassPrototypes,
@@ -62,7 +61,6 @@ from .replay import (
     insert_random,
     insert_with_centroids,
     insertion_budget,
-    merge_class_batches,
     rebalance_quotas,
     sample_replay_batch,
 )
@@ -279,30 +277,28 @@ class Learner:
         """One stream batch: preservation on the batch and a replay draw, the
         mixture refit on the features of their union, then replay insertion."""
         cfg, fe, state, mem = self.cfg, self.fe, self.state, self.mem
-        new_ids = sorted(set(batch.labels.tolist()) - set(self.protos.known()))
+        stream_rows = class_rows(batch.labels)
+        new_ids = sorted(stream_rows.keys() - self.protos.known())
         if new_ids:
             self.protos.init_new_classes(new_ids, seed=int(self.proto_rng.integers(2**31)))
 
-        replay = merge_class_batches(sample_replay_batch(mem, cfg.batch_size, self.replay_rng))
+        replay = sample_replay_batch(mem, cfg.batch_size, self.replay_rng)
         dynamic_preservation_step(batch, replay, fe, self.protos, cfg.preservation)
 
         x, y = batch.features, batch.labels
         if replay is not None:
             x, y = np.concatenate([x, replay.features]), np.concatenate([y, replay.labels])
         feats = fe.features_np(x)
-        otmm_step(split_by_class(feats, y), state, cfg.otmm, self.otmm_rng)
+        by_class = {c: feats[rows] for c, rows in class_rows(y).items()}
+        otmm_step(by_class, state, cfg.otmm, self.otmm_rng)
 
-        new_feats = feats[: len(batch)]
-        for c in present_classes(batch.labels).tolist():
-            mask = batch.labels == c
-            class_batch = Batch(features=batch.features[mask], labels=batch.labels[mask])
+        for c, rows in stream_rows.items():
+            class_batch = Batch(features=batch.features[rows], labels=batch.labels[rows])
             if cfg.random_insertion:
                 k = cfg.n_centroids
                 insert_random(mem, class_batch, insertion_budget(mem, c, k) * k)
             else:
-                insert_with_centroids(
-                    mem, class_batch, new_feats[mask], state.mixtures[c].centroids()
-                )
+                insert_with_centroids(mem, class_batch, feats[rows], state.mixtures[c].centroids())
 
     def end_task(self, t_idx: int) -> None:
         """Rebalance the memory quotas over every class of tasks 0..t_idx."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericsError, ParamSet
-from .data import Batch, present_classes
+from .data import Batch, class_rows
 from .model import ClassPrototypes, FeatureExtractor
 
 
@@ -61,9 +61,7 @@ def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[in
     if labels.size == 0:
         raise ValueError("empty batch")
     features = np.asarray(features, dtype=np.float64)
-    return {
-        int(c): features[labels == c].mean(axis=0) for c in present_classes(labels)
-    }
+    return {c: features[rows].mean(axis=0) for c, rows in class_rows(labels).items()}
 
 
 def join_batches(new_batch: Batch, replay_batch: Batch | None) -> Batch:

@@ -42,8 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericsError, ParamSet, Tensor
-from .data import present_classes
-from .model import MLP, Layers, mlp_backward, mlp_forward
+from .model import MLP, mlp_backward, mlp_forward, mlp_layers
 
 POTENTIAL_WIDTH = 64
 
@@ -159,8 +158,8 @@ class _Stack:
         size = sum(math.prod(shape) for shape in shapes.values())
         self.value = np.empty((len(param_sets), size))
         self.grad = np.empty_like(self.value)
-        self.v = _views(self.value, shapes)
-        self.g = _views(self.grad, shapes)
+        self.v = dict(zip(shapes, _end_to_end(self.value, shapes.values())))
+        self.g = dict(zip(shapes, _end_to_end(self.grad, shapes.values())))
         for c, params in enumerate(param_sets):
             for name, t in params.items():
                 self.v[name][c] = t.data
@@ -189,11 +188,12 @@ class _Stack:
                 np.copyto(t.data, self.v[name][c])
 
 
-def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    views, start = {}, 0
-    for name, shape in shapes.items():
+def _end_to_end(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views (..., *shape) of `flat` (..., size), laid end to end along its last axis."""
+    views, start = [], 0
+    for shape in shapes:
         size = math.prod(shape)
-        views[name] = flat[:, start : start + size].reshape(flat.shape[0], *shape)
+        views.append(flat[..., start : start + size].reshape(*flat.shape[:-1], *shape))
         start += size
     return views
 
@@ -213,14 +213,10 @@ class NoiseBuffer:
         self._flat = np.empty(0)
 
     def views(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-        sizes = [math.prod(shape) for shape in shapes]
-        if self._flat.size < sum(sizes):
-            self._flat = np.empty(sum(sizes))
-        views, start = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(self._flat[start : start + size].reshape(shape))
-            start += size
-        return views
+        size = sum(math.prod(shape) for shape in shapes)
+        if self._flat.size < size:
+            self._flat = np.empty(size)
+        return _end_to_end(self._flat, shapes)
 
 
 def _draw_group_noise(
@@ -300,11 +296,6 @@ class ClassGroup:
         self.potential.write_back()
 
 
-def _layers(views: dict[str, np.ndarray]) -> Layers:
-    """A potential stack's `(w, b)` views; `_Stack.advance` swaps them."""
-    return [(views[f"w{i}"], views[f"b{i}"]) for i in range(len(views) // 2)]
-
-
 def stacked_draws(
     mixture: _Stack, tau: float, gumbel: np.ndarray, gauss: np.ndarray, out: np.ndarray | None = None
 ):
@@ -365,12 +356,12 @@ def phi_gradient(group: ClassGroup, cfg: OtmmConfig, x: np.ndarray) -> np.ndarra
     d value/d p_j = 1/n - (1/m) sum_i P_ij, back-propagated once through
     the potential.
     """
-    layers = _layers(group.potential.v)
+    layers = mlp_layers(group.potential.v)
     p, hidden = mlp_forward(layers, group.z)
     p = p[:, :, 0]
     plan_t, conj = _plan(x, p + group.neg_z_sq, group, cfg.epsilon)
     g_p = group.row_w[:, :, None] - np.matmul(plan_t, group.draw_w[:, :, None])
-    mlp_backward(layers, [group.z, *hidden], g_p, _layers(group.potential.g))
+    mlp_backward(layers, [group.z, *hidden], g_p, mlp_layers(group.potential.g))
     return _value(group, p, conj)
 
 
@@ -423,7 +414,7 @@ def update_mixture(group: ClassGroup, cfg: OtmmConfig) -> np.ndarray:
     """n_mix_steps gradient-descent steps on every class's dual value w.r.t.
     alpha/mu/log_sigma, potentials frozen — pulls each mixture toward its
     class's data. Returns the (n_mix_steps, C) values before each step."""
-    p = mlp_forward(_layers(group.potential.v), group.z)[0][:, :, 0]
+    p = mlp_forward(mlp_layers(group.potential.v), group.z)[0][:, :, 0]
     values = np.empty((cfg.n_mix_steps, len(group.ids)))
     for s in range(cfg.n_mix_steps):
         values[s] = mixture_gradient(group, cfg, s, p)
@@ -519,8 +510,3 @@ def otmm_step(
         for i, c in enumerate(ids)
     }
 
-
-def split_by_class(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Group detached feature rows by label for the per-class updates."""
-    labels = np.asarray(labels)
-    return {int(c): features[labels == c] for c in present_classes(labels)}

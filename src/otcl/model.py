@@ -76,11 +76,12 @@ class MLP:
 
     def weights(self, dtype=np.float64) -> Layers:
         """Each layer's `(w, b)`: the parameter arrays, or a copy in `dtype`."""
-        p = self.params
-        return [
-            (p[f"w{i}"].data.astype(dtype, copy=False), p[f"b{i}"].data.astype(dtype, copy=False))
-            for i in range(len(self.dims) - 1)
-        ]
+        return mlp_layers({n: t.data.astype(dtype, copy=False) for n, t in self.params.items()})
+
+
+def mlp_layers(arrays: dict[str, np.ndarray]) -> Layers:
+    """Each layer's `(w, b)` of arrays named as an `MLP`'s parameters (values or grads)."""
+    return [(arrays[f"w{i}"], arrays[f"b{i}"]) for i in range(len(arrays) // 2)]
 
 
 def mlp_forward(layers: Layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -239,8 +240,7 @@ class FeatureExtractor(MLP):
 
     def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
         """`mlp_backward` into each `.grad`, given `forward_np(x)`'s `hidden`."""
-        p = self.params
-        grads = [(p[f"w{i}"].grad, p[f"b{i}"].grad) for i in range(len(self.dims) - 1)]
+        grads = mlp_layers({n: t.grad for n, t in self.params.items()})
         mlp_backward(self.weights(), [x, *hidden], gz, grads)
 
     def features_np(self, x: np.ndarray, chunk: int = 4096, dtype=np.float64) -> np.ndarray:

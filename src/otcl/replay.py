@@ -11,7 +11,8 @@ The rows live in one `(capacity, dim)` array, allocated at the first write
 in that batch's width and dtype. Each class maps to the slot indices of its
 rows in store order; a slot no class holds is free. Stored rows are copies,
 never views of the batch they came from. Insertions take single-class
-`Batch`es; a replay draw comes back as one `Batch` per class.
+`Batch`es; a replay draw comes back as one `Batch`, its rows in ascending
+class order.
 
 Insertion is centroid-aware: for every mixture centroid of the incoming
 class, the closest batch samples in feature space are kept, which spreads
@@ -164,31 +165,29 @@ def insert_random(mem: ReplayMemory, batch: Batch, n_samples: int) -> ReplayMemo
 
 def sample_replay_batch(
     mem: ReplayMemory, batch_size: int, rng: np.random.Generator
-) -> dict[int, Batch]:
-    """Uniform draw without replacement across everything stored, by class.
+) -> Batch | None:
+    """Uniform draw without replacement across everything stored.
 
-    Returns {class_id: Batch}; empty memory gives an empty dict, and a
-    memory smaller than batch_size comes back whole.
+    Returns one `Batch`: the drawn rows in ascending class order, in store
+    order within a class, with int64 labels. An empty memory gives None,
+    and a memory smaller than batch_size comes back whole.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     total = mem.total()
     if total == 0:
-        return {}
+        return None
     # the picks index every stored row in ascending class order
     classes = sorted(mem.slots)
     picked = np.sort(rng.choice(total, size=min(batch_size, total), replace=False))
-    rows = mem.rows[np.concatenate([mem.slots[c] for c in classes])[picked]]
-    ends = np.searchsorted(picked, np.cumsum([mem.slots[c].size for c in classes])).tolist()
-    return {
-        c: Batch(features=rows[a:b], labels=np.full(b - a, c, dtype=np.int64))
-        for c, a, b in zip(classes, [0] + ends, ends)
-        if b > a
-    }
+    slots = np.concatenate([mem.slots[c] for c in classes])
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), [mem.slots[c].size for c in classes])
+    return Batch(features=mem.rows[slots[picked]], labels=labels[picked])
 
 
 def merge_class_batches(grouped: dict[int, Batch]) -> Batch | None:
-    """Concatenate per-class batches into one joint batch (None if empty)."""
+    """Concatenate per-class batches into one joint batch (None if empty).
+    Unused by the program; kept while `perfbench/probes.py` wraps it (ROADMAP item 4)."""
     if not grouped:
         return None
     parts = [grouped[c] for c in sorted(grouped)]

@@ -142,6 +142,35 @@ class TestIdx:
         assert d.load_idx(ip, lp).labels.tolist() == [1, 1, 1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t-images", "t-labels"]
 
+    @pytest.mark.parametrize("images, labels, bad", [
+        (np.zeros((2, 1, 1), np.uint8), [3, 256], "label 256"),
+        (np.zeros((1, 1, 1), np.uint8), [-1], "label -1"),
+        (np.zeros((1, 1, 1), np.uint8), [1.5], "label 1.5"),
+        (np.zeros((1, 1, 1), np.uint8), [np.nan], "label nan"),
+        (np.array([[[0.0, 300.0]]]), [0], "pixel 300.0"),
+        (np.array([[[2.0, -1.0]]]), [0], "pixel -1.0"),
+        (np.array([[[0.5, 0.0]]]), [0], "pixel 0.5"),
+        (np.array([[[np.nan, 7.0]]]), [0], "pixel nan"),
+    ], ids=["label-256", "label-negative", "label-fraction", "label-nan",
+            "pixel-300", "pixel-negative", "pixel-fraction", "pixel-nan"])
+    def test_values_a_byte_cannot_hold_are_rejected_before_writing(
+        self, tmp_path, images, labels, bad
+    ):
+        # a plain uint8 cast would wrap them: 256 -> 0, -1 -> 255, 300.0 -> 44
+        ip, lp = make_idx_pair(tmp_path, np.full((2, 1, 2), 9, np.uint8), [4, 5])
+        before = ip.read_bytes(), lp.read_bytes()
+        with pytest.raises(ValueError, match=rf"^{bad} does not fit in a byte"):
+            d.write_idx(ip, lp, images, labels)
+        assert (ip.read_bytes(), lp.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t-images", "t-labels"]
+
+    def test_integral_values_of_any_dtype_are_written_as_bytes(self, tmp_path):
+        images = np.array([[[0.0, 255.0]], [[17.0, 1.0]]])
+        ip, lp = make_idx_pair(tmp_path, images, np.array([0, 255], dtype=np.int64))
+        batch = d.load_idx(ip, lp)
+        assert batch.features.tolist() == [[0, 255], [17, 1]]
+        assert batch.labels.tolist() == [0, 255]
+
     def test_distinct_error_types(self):
         kinds = {d.BadMagicError, d.CountMismatchError, d.TruncatedFileError}
         assert len(kinds) == 3
@@ -201,6 +230,23 @@ class TestPresentClasses:
     def test_negative_labels_rejected_by_value(self):
         with pytest.raises(ValueError, match=r"non-negative, got \[-7, -1\]"):
             d.present_classes(np.array([2, -1, 0, -7, -1]))
+
+
+class TestClassRows:
+    @given(st.lists(st.integers(0, 40), max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_a_mask_per_unique_class(self, labels):
+        labels = np.array(labels, dtype=np.int64)  # the empty list included
+        got = d.class_rows(labels)
+        want = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+        assert list(got) == list(want)
+        assert all(type(c) is int for c in got)
+        for c, rows in got.items():
+            assert rows.dtype == want[c].dtype and rows.tolist() == want[c].tolist()
+
+    def test_negative_labels_rejected_by_value(self):
+        with pytest.raises(ValueError, match=r"non-negative, got \[-7, -1\]"):
+            d.class_rows(np.array([2, -1, 0, -7, -1]))
 
 
 class TestSplitStream:

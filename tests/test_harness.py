@@ -986,6 +986,49 @@ def test_checkpoint_round_trip_keeps_the_group_layout(tmp_path):
     ).read_bytes()
 
 
+def test_the_transport_step_gets_the_joint_batch_by_class(monkeypatch):
+    # observe hands otmm_step the features of the stream batch and the replay
+    # draw together, one array per class in ascending class order: bytewise
+    # {c: feats[y == c]} of the joint batch
+    import otcl.harness as hz
+    from otcl.data import make_split_stream
+
+    cfg = ring_run_config()
+    train, _ = ring_run_inputs(cfg)
+    stream = make_split_stream(train, cfg.num_tasks, cfg.classes_per_task, cfg.batch_size, seed=0)
+    learner = hz.Learner(cfg, 0, train.features.shape[1])
+    preserve, step = hz.dynamic_preservation_step, hz.otmm_step
+    joint, checked = [], []
+
+    def keep_joint(batch, replay, *args):
+        joint.append((batch, replay))
+        return preserve(batch, replay, *args)
+
+    def check_by_class(by_class, state, *args):
+        batch, replay = joint[-1]
+        x, y = batch.features, batch.labels
+        if replay is not None:
+            x, y = np.concatenate([x, replay.features]), np.concatenate([y, replay.labels])
+        feats = learner.fe.features_np(x)
+        want = {int(c): feats[y == c] for c in np.unique(y)}
+        assert list(by_class) == list(want)
+        for c, rows in want.items():
+            assert by_class[c].dtype == np.float64
+            assert by_class[c].tobytes() == rows.tobytes()
+        checked.append(len(y))
+        return step(by_class, state, *args)
+
+    monkeypatch.setattr(hz, "dynamic_preservation_step", keep_joint)
+    monkeypatch.setattr(hz, "otmm_step", check_by_class)
+    for t_idx, task in enumerate(stream.tasks):
+        for batch in task.batches:
+            learner.observe(batch)
+        learner.end_task(t_idx)
+    assert len(checked) == len(joint) == sum(len(task.batches) for task in stream.tasks)
+    # the draws held classes that the stream batch did not
+    assert any(r is not None and set(r.labels.tolist()) - set(b.labels.tolist()) for b, r in joint)
+
+
 # The benchmark (perfbench/) times and counts the run by rebinding these
 # `harness` module globals at run time; its probes are imported here, never
 # changed.

@@ -814,16 +814,16 @@ def test_stacked_potentials_run_the_extractor_kernel_bit_for_bit():
     z = rng.standard_normal((4, 20, 8))
     g = rng.standard_normal((4, 20, 1))
     stack = mx._Stack([phi.params for phi in phis])
-    layers = mx._layers(stack.v)
+    layers = model.mlp_layers(stack.v)
     out, hidden = model.mlp_forward(layers, z)
-    model.mlp_backward(layers, [z, *hidden], g, mx._layers(stack.g))
+    model.mlp_backward(layers, [z, *hidden], g, model.mlp_layers(stack.g))
     for c, phi in enumerate(phis):
         alone = phi.weights()
         out_c, hidden_c = model.mlp_forward(alone, z[c])
         grads_c = [(np.empty_like(w), np.empty_like(b)) for w, b in alone]
         model.mlp_backward(alone, [z[c], *hidden_c], g[c], grads_c)
         assert out[c].tobytes() == out_c.tobytes()
-        for (g_w, g_b), (g_w_c, g_b_c) in zip(mx._layers(stack.g), grads_c):
+        for (g_w, g_b), (g_w_c, g_b_c) in zip(model.mlp_layers(stack.g), grads_c):
             assert g_w[c].tobytes() == g_w_c.tobytes()
             assert g_b[c].tobytes() == g_b_c.tobytes()
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otcl import replay as rp
-from otcl.data import Batch, LabeledSample, SynthSpec, gen_synthetic
+from otcl.data import Batch, LabeledSample, SynthSpec, class_rows, gen_synthetic
 
 
 def class_batch(c: int, features: np.ndarray) -> Batch:
@@ -32,6 +32,16 @@ def fill(mem: rp.ReplayMemory, batch: Batch) -> None:
 
 def stored_counts(mem: rp.ReplayMemory) -> dict[int, int]:
     return {c: s.size for c, s in sorted(mem.slots.items())}
+
+
+def by_class(batch: Batch | None) -> dict[int, Batch]:
+    """A replay draw's rows of each class, in ascending class order."""
+    if batch is None:
+        return {}
+    return {
+        c: Batch(features=batch.features[rows], labels=batch.labels[rows])
+        for c, rows in class_rows(batch.labels).items()
+    }
 
 
 # ------------------------------------------------------------- insertion
@@ -136,14 +146,14 @@ def test_random_insertion_budgets_a_new_class_under_its_shrunk_quota():
 
 def test_sampling_empty_memory_returns_nothing():
     mem = rp.ReplayMemory(capacity=5)
-    assert rp.sample_replay_batch(mem, 4, np.random.default_rng(0)) == {}
+    assert rp.sample_replay_batch(mem, 4, np.random.default_rng(0)) is None
 
 
 def test_sampling_small_memory_returns_everything():
     mem = rp.ReplayMemory(capacity=10)
     fill(mem, class_batch(0, [[1.0], [2.0]]))
     fill(mem, class_batch(1, [[3.0]]))
-    got = rp.sample_replay_batch(mem, 50, np.random.default_rng(0))
+    got = by_class(rp.sample_replay_batch(mem, 50, np.random.default_rng(0)))
     assert sorted(got) == [0, 1]
     assert len(got[0]) == 2 and len(got[1]) == 1
 
@@ -156,7 +166,7 @@ def test_sampling_frequencies_follow_the_stored_split():
     rng = np.random.default_rng(5)
     hits = np.zeros(2)
     for _ in range(10_000):
-        got = rp.sample_replay_batch(mem, 1, rng)
+        got = by_class(rp.sample_replay_batch(mem, 1, rng))
         hits[next(iter(got))] += 1
     freq = hits / hits.sum()
     assert np.all(np.abs(freq - [0.3, 0.7]) <= 0.02)
@@ -166,17 +176,64 @@ def test_sampled_batches_carry_their_own_class_labels():
     mem = rp.ReplayMemory(capacity=20)
     fill(mem, class_batch(3, np.full((4, 2), 3.0)))
     fill(mem, class_batch(8, np.full((4, 2), 8.0)))
-    got = rp.sample_replay_batch(mem, 6, np.random.default_rng(1))
+    got = by_class(rp.sample_replay_batch(mem, 6, np.random.default_rng(1)))
     for c, b in got.items():
         assert np.all(b.labels == c)
         assert np.all(b.features == float(c))
+
+
+def per_class_draw(mem: rp.ReplayMemory, batch_size: int, rng) -> dict[int, Batch]:
+    """The draw as one `Batch` per class, as sampling returned it before it
+    returned one `Batch`: the same picks, cut at the class boundaries."""
+    total = mem.total()
+    if total == 0:
+        return {}
+    classes = sorted(mem.slots)
+    picked = np.sort(rng.choice(total, size=min(batch_size, total), replace=False))
+    rows = mem.rows[np.concatenate([mem.slots[c] for c in classes])[picked]]
+    ends = np.searchsorted(picked, np.cumsum([mem.slots[c].size for c in classes])).tolist()
+    return {
+        c: Batch(features=rows[a:b], labels=np.full(b - a, c, dtype=np.int64))
+        for c, a, b in zip(classes, [0] + ends, ends)
+        if b > a
+    }
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    counts=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5),
+    batch_size=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_one_batch_draw_is_the_per_class_draw_concatenated_in_class_order(
+    counts, batch_size, seed
+):
+    mem = rp.ReplayMemory(capacity=30, seed=seed)
+    rows = np.random.default_rng(seed).normal(size=(sum(counts), 3))
+    ends = np.cumsum(counts)
+    # classes arrive out of order; a class without rows stores nothing
+    for c in np.random.default_rng(seed + 1).permutation(len(counts)).tolist():
+        if counts[c]:
+            fill(mem, class_batch(c, rows[ends[c] - counts[c] : ends[c]]))
+    draw, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = rp.sample_replay_batch(mem, batch_size, draw)
+    want = per_class_draw(mem, batch_size, reference)
+    if not want:
+        assert got is None
+    else:
+        parts = [want[c] for c in sorted(want)]
+        assert got.features.tobytes() == np.concatenate([p.features for p in parts]).tobytes()
+        assert got.labels.dtype == np.int64
+        assert got.labels.tolist() == np.concatenate([p.labels for p in parts]).tolist()
+    assert draw.bit_generator.state == reference.bit_generator.state
 
 
 def test_merge_class_batches_concatenates_in_class_order():
     mem = rp.ReplayMemory(capacity=20)
     fill(mem, class_batch(5, np.full((2, 1), 5.0)))
     fill(mem, class_batch(1, np.full((3, 1), 1.0)))
-    merged = rp.merge_class_batches(rp.sample_replay_batch(mem, 10, np.random.default_rng(0)))
+    drawn = rp.sample_replay_batch(mem, 10, np.random.default_rng(0))
+    merged = rp.merge_class_batches(by_class(drawn))
     assert len(merged) == 5
     np.testing.assert_array_equal(np.unique(merged.labels), [1, 5])
     assert rp.merge_class_batches({}) is None
@@ -273,8 +330,13 @@ def test_capacity_and_labels_hold_under_arbitrary_operation_sequences(ops, capac
             rp.rebalance_quotas(mem, max(len(mem.slots), c + 1))
         else:
             got = rp.sample_replay_batch(mem, n, rng)
-            for cls, b in got.items():
+            for cls, b in by_class(got).items():
                 assert np.all(b.labels == cls)
+                # every drawn row is one that the memory holds under its label
+                held = {r.tobytes() for r in stored_features(mem, cls)}
+                assert all(r.tobytes() in held for r in b.features)
+            if got is not None:
+                assert np.all(np.diff(got.labels) >= 0)  # ascending class order
         assert mem.total() <= capacity
         for cls in mem.slots:
             stored = stored_features(mem, cls)
@@ -393,9 +455,12 @@ def test_row_store_matches_the_list_of_samples_store(trial):
             naive.rebalance(k)
         else:
             size = int(ops.integers(1, 8))
-            got = rp.sample_replay_batch(mem, size, draw)
+            drawn = rp.sample_replay_batch(mem, size, draw)
             want = naive.sample(size, naive_draw)
+            got = by_class(drawn)
             assert list(got) == list(want)
+            if want:  # one batch: the naive draw's rows concatenated in class order
+                assert drawn.features.tobytes() == np.concatenate(list(want.values())).tobytes()
             for cls, batch in got.items():
                 assert batch.features.tobytes() == want[cls].tobytes()
                 assert batch.labels.dtype == np.int64
@@ -414,7 +479,7 @@ def test_stored_rows_are_copies_that_do_not_keep_the_batch_alive():
     assert not np.shares_memory(mem.rows, batch.features)
     batch.features[:] = -1.0  # the batch is written after insertion
     np.testing.assert_array_equal(stored_features(mem, 0), before)
-    drawn = rp.sample_replay_batch(mem, 4, np.random.default_rng(0))[0]
+    drawn = rp.sample_replay_batch(mem, 4, np.random.default_rng(0))
     drawn.features[:] = -2.0  # and so is a replay draw
     np.testing.assert_array_equal(stored_features(mem, 0), before)
 
