@@ -301,8 +301,11 @@ class Learner:
                 insert_with_centroids(mem, class_batch, feats[rows], state.mixtures[c].centroids())
 
     def end_task(self, t_idx: int) -> None:
-        """Rebalance the memory quotas over every class of tasks 0..t_idx."""
+        """Rebalance the memory quotas over every class of tasks 0..t_idx,
+        and drop the extractor's first-layer products, so that the task's
+        accuracy-matrix row is scored from fresh ones, bit for bit."""
         rebalance_quotas(self.mem, (t_idx + 1) * self.cfg.classes_per_task)
+        self.fe.drop_products()
 
     def evaluate(self, test_batches: list[Batch]) -> list[float]:
         """Nearest-centroid accuracy on each held-out batch."""

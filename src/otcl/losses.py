@@ -48,11 +48,17 @@ class PreservationConfig:
             raise ValueError("step counts must be non-negative")
 
 
-def _class_weights(labels: np.ndarray) -> np.ndarray:
-    """Per-sample weights 1/count(class), so sum(w_i * v_i) = per-class mean
-    of v summed over the classes present."""
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return 1.0 / counts[inverse]
+def _class_columns(labels: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The classes present, ascending (`data.class_rows`), each row's column
+    among them, and each row's weight 1/count(its class), so that
+    sum(w_i * v_i) is the per-class mean of v summed over those classes."""
+    by_class = class_rows(labels)
+    column = np.empty(labels.size, dtype=np.int64)
+    weights = np.empty(labels.size)
+    for j, rows in enumerate(by_class.values()):
+        column[rows] = j
+        weights[rows] = 1.0 / rows.size
+    return list(by_class), column, weights
 
 
 def compute_mean_prototypes(features: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -93,7 +99,7 @@ def separation_value_and_grad(
     rows = [protos.params[f"proto_{c}"] for c in known]
     w = np.concatenate([t.data for t in rows], axis=0)
     true_col = np.searchsorted(known, labels)
-    weights = _class_weights(labels)
+    _, _, weights = _class_columns(labels)
     idx = np.arange(labels.size)
 
     logits = z @ w.T
@@ -123,12 +129,11 @@ def compression_value_and_grad(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty batch")
-    present, own_col, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    missing = [int(c) for c in present if int(c) not in means]
+    present, own_col, weights = _class_columns(labels)
+    missing = [c for c in present if c not in means]
     if missing:
         raise KeyError(f"no mean prototype for classes {missing}")
-    anchors = np.stack([means[int(c)] for c in present])
-    weights = 1.0 / counts[own_col]  # as _class_weights
+    anchors = np.stack([means[c] for c in present])
     idx = np.arange(labels.size)
 
     diff = z[:, None, :] - anchors[None, :, :]
@@ -175,10 +180,16 @@ def dynamic_preservation_step(
     features, then runs `steps_l2` compression updates on the extractor
     alone.
 
+    After the last step, one `fe.w0_moved` call reports the pass's move of
+    `w0`, the joint rows and minus `lr_theta` times the sum of the steps'
+    first-layer cotangents, so the evaluation's first-layer products follow
+    it.
+
     A separation step whose new extractor or prototype values are not all
     finite writes none of them (prototypes are checked first), and a
     compression step likewise; either raises `NumericsError` with the
-    `phase` ('separation' or 'compression') and the `param` it found.
+    `phase` ('separation' or 'compression') and the `param` it found, with
+    nothing reported: the error ends the seed, and its extractor with it.
     """
     joint = join_batches(new_batch, replay_batch)
     new_classes = set(new_batch.labels.tolist())
@@ -192,12 +203,13 @@ def dynamic_preservation_step(
 
     x = np.asarray(joint.features, dtype=np.float64)
     sep_trace, comp_trace = [], []
+    cotangents = []  # each extractor step's first-layer cotangent
 
     for _ in range(cfg.steps_l1):
         z, hidden = fe.forward_np(x)
         value, gz = separation_value_and_grad(z, joint.labels, protos)
         sep_trace.append(value)
-        fe.backward_np(x, hidden, gz)
+        cotangents.append(fe.backward_np(x, hidden, gz))
         _step(separation, rates, "separation")
 
     # the means are frozen from the features the first compression step sees
@@ -209,7 +221,10 @@ def dynamic_preservation_step(
             z, hidden = fe.forward_np(x)
         value, gz = compression_value_and_grad(z, joint.labels, means)
         comp_trace.append(value)
-        fe.backward_np(x, hidden, gz)
+        cotangents.append(fe.backward_np(x, hidden, gz))
         _step(fe.params, cfg.lr_theta, "compression")
 
+    if cotangents:
+        # every step moved w0 by x.T @ (-lr_theta * its cotangent)
+        fe.w0_moved(x, -cfg.lr_theta * sum(cotangents))
     return {"separation": sep_trace, "compression": comp_trace, "means": means}

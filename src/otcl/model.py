@@ -9,8 +9,23 @@ runs on the float64 parameters; evaluation asks `features_np` for float32,
 the same kernel on a float32 copy of the weights. Inside
 `FeatureExtractor.evaluation_pass`, while the parameters stay as they are,
 that copy is taken once and shared by every call; outside one, each call
-takes its own. Class logits are pure inner products against one trainable
-prototype row per class seen so far — no bias, no normalization; their
+takes its own.
+
+A float32 pass also serves the first layer from products that outlive it:
+for each held-out row array it reads, the extractor keeps `as_float(x) @ w0`
+in float32, before the bias, formed on the first read with the GEMM calls
+of a plain forward. The preservation step reports each call's move of `w0`
+as two factors (`w0_moved(u, v)`: the joint rows, and minus the rate times
+the summed first-layer cotangents that `mlp_backward` returns), and each
+product read since the previous report takes the rank-≤20 update
+`(x @ u.T) @ v`; the others are dropped, and `drop_products` drops them
+all (the harness does at every task end). So the products stay right only
+while every write to `w0` is reported: `ParamSet.step` in the preservation
+step is reported, and `restore_params` writes `w0` only on a fresh extractor
+(`harness.load_model`).
+
+Class logits are pure inner products against one trainable prototype row
+per class seen so far — no bias, no normalization; their
 graph (`class_logits`) is built only by the test oracles in
 `tests/oracles/`.
 
@@ -27,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import json
 import os
@@ -100,10 +116,14 @@ def mlp_forward(layers: Layers, x: np.ndarray) -> tuple[np.ndarray, list[np.ndar
     return out, hidden
 
 
-def mlp_backward(layers: Layers, inputs: list[np.ndarray], g: np.ndarray, grads: Layers) -> None:
+def mlp_backward(
+    layers: Layers, inputs: list[np.ndarray], g: np.ndarray, grads: Layers
+) -> np.ndarray:
     """Write d(loss)/d(w, b) into the `(w, b)` buffers `grads`, given the
     cotangent `g` of the outputs and `inputs` = (x, *hidden) of every layer.
-    Bit for bit the autodiff graph of `MLP.forward`; d/dx is never formed."""
+    Bit for bit the autodiff graph of `MLP.forward`; d/dx is never formed.
+    Returns the cotangent of the first layer's pre-activation `x @ w0 + b0`,
+    of which d/dw0 is `x`'s transpose times it."""
     for i in reversed(range(len(layers))):
         g_w, g_b = grads[i]
         np.sum(g, axis=-2, keepdims=True, out=g_b)
@@ -111,6 +131,7 @@ def mlp_backward(layers: Layers, inputs: list[np.ndarray], g: np.ndarray, grads:
         if i:
             g = np.matmul(g, layers[i][0].swapaxes(-1, -2))
             g *= inputs[i] > 0
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +215,17 @@ def _span_pool():
     return ThreadPoolExecutor(max_workers=_cpus(), thread_name_prefix="otcl-forward")
 
 
+@dataclasses.dataclass(eq=False)
+class _Product:
+    """A held-out row array's first-layer product `as_float(rows) @ w0`, in
+    float32, before the bias; `read` if an evaluation read it since the last
+    move of `w0` was reported."""
+
+    rows: np.ndarray
+    a: np.ndarray
+    read: bool = True
+
+
 class FeatureExtractor(MLP):
     """The contraction feature extractor: input -> hidden -> hidden -> feat_dim."""
 
@@ -205,6 +237,7 @@ class FeatureExtractor(MLP):
         self.input_dim = input_dim
         self.feat_dim = feat_dim
         self._pass_weights: dict | None = None  # dtype -> weights, in a pass
+        self._products: dict[int, _Product] = {}  # id(rows) -> its product
 
     @contextlib.contextmanager
     def evaluation_pass(self):
@@ -212,12 +245,63 @@ class FeatureExtractor(MLP):
         calls of the block, taken on the first call that asks for it and
         dropped when the block ends, normally or by an exception. Nothing
         may write the parameters inside the block (no step, no restore):
-        the calls would not see it."""
+        the calls would not see it.
+
+        A float32 call in the block also serves the first layer of its row
+        array from that array's product (`as_float(x) @ w0`, before the
+        bias), which outlives the block: the first read forms it, span by
+        span with the GEMM calls of a plain forward, so its features are
+        bit for bit those of a call outside any pass; a later read runs only
+        the bias, the ReLU and the layers after it. A product stays right
+        only while every write to `w0` is reported (`w0_moved`) or followed
+        by `drop_products`: the preservation step reports its moves, and
+        `restore_params` writes `w0` only on a fresh extractor
+        (`harness.load_model`). The rows of a kept array must not change.
+        """
         self._pass_weights = {}
         try:
             yield
         finally:
             self._pass_weights = None
+
+    def w0_moved(self, u: np.ndarray, v: np.ndarray) -> None:
+        """`w0` moved by `u.T @ v` (the rows stepped on, and minus the rate
+        times the summed first-layer cotangents): every product an
+        evaluation read since the last report takes `(x @ u.T) @ v` in
+        float32, about (input + hidden) * len(u) multiply-adds a row instead
+        of input * hidden, and every other product is dropped. The update
+        runs in the spans of a forward of the same rows, on the pool where
+        that forward would split. The float32 updates drift from a fresh
+        product; `drop_products` bounds how many accumulate."""
+        self._products = {k: p for k, p in self._products.items() if p.read}
+        if not self._products:
+            return
+        u32 = u.astype(np.float32).T
+        # pixel rows enter the forward as v/255 (`data.as_float`): the 1/255
+        # goes into u instead, which saves a pass over the rows
+        u32_pixels = (u / 255.0).astype(np.float32).T
+        v32 = v.astype(np.float32)
+        work = [(p, rows) for p in self._products.values() for rows in self._spans(0, len(p.rows))]
+
+        def update(items: list[tuple[_Product, slice]]) -> None:
+            for p, rows in items:
+                x, a = p.rows[rows], p.a[rows]
+                ut = u32_pixels if x.dtype == np.uint8 else u32
+                a += (x.astype(np.float32, copy=False) @ ut) @ v32
+
+        if len(work) == len(self._products):  # no product splits
+            update(work)
+        else:  # one share of the spans per CPU, each on a pool thread
+            n = _cpus()
+            for _ in _span_pool().map(update, [work[k::n] for k in range(n)]):
+                pass
+        for p in self._products.values():
+            p.read = False
+
+    def drop_products(self) -> None:
+        """Forget every first-layer product: the next read of each array
+        forms it afresh, bit for bit."""
+        self._products = {}
 
     def _weights_for(self, dtype) -> Layers:
         """`weights(dtype)`, or the copy of the open evaluation pass."""
@@ -229,6 +313,17 @@ class FeatureExtractor(MLP):
             shared[key] = self.weights(dtype)
         return shared[key]
 
+    def _product_for(self, x: np.ndarray, dtype) -> tuple[_Product | None, bool]:
+        """The product a `features_np` call reads and whether it is new (to
+        be formed by the call); no product outside a float32 pass."""
+        if self._pass_weights is None or np.dtype(dtype) != np.float32:
+            return None, False
+        product = self._products.get(id(x))
+        if product is not None:
+            product.read = True
+            return product, False
+        return _Product(x, np.empty((x.shape[0], self.dims[1]), np.float32)), True
+
     def _check_width(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.input_dim:
             raise ValueError(f"input dim {x.shape[-1]} != expected {self.input_dim}")
@@ -238,10 +333,11 @@ class FeatureExtractor(MLP):
         self._check_width(x)
         return mlp_forward(self.weights(), x)
 
-    def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> None:
-        """`mlp_backward` into each `.grad`, given `forward_np(x)`'s `hidden`."""
+    def backward_np(self, x: np.ndarray, hidden: list[np.ndarray], gz: np.ndarray) -> np.ndarray:
+        """`mlp_backward` into each `.grad`, given `forward_np(x)`'s `hidden`;
+        returns its first-layer cotangent."""
         grads = mlp_layers({n: t.grad for n, t in self.params.items()})
-        mlp_backward(self.weights(), [x, *hidden], gz, grads)
+        return mlp_backward(self.weights(), [x, *hidden], gz, grads)
 
     def features_np(self, x: np.ndarray, chunk: int = 4096, dtype=np.float64) -> np.ndarray:
         """Inference-only forward pass on raw arrays (no graph, chunked).
@@ -251,7 +347,9 @@ class FeatureExtractor(MLP):
         float32 once per call, or once per `evaluation_pass`, and the rows
         chunk by chunk, so no float32 copy of `x` is kept. uint8 rows are
         IDX pixels: each chunk is scaled to v/255 in `dtype` as it is cast
-        (`data.as_float`).
+        (`data.as_float`). In a float32 pass the first layer comes from the
+        array's product (`evaluation_pass`), which a failed call leaves
+        unformed.
 
         A chunk large enough to pay for it (`_spans`) runs as contiguous
         row spans, one per CPU at most, on the thread pool, and the spans'
@@ -263,9 +361,18 @@ class FeatureExtractor(MLP):
         x = np.asarray(x)
         self._check_width(x)
         weights = self._weights_for(dtype)
+        product, fresh = self._product_for(x, dtype)
+        (w0, b0), after = weights[0], weights[1:]
 
         def forward(rows: slice) -> np.ndarray:
-            return mlp_forward(weights, as_float(x[rows], dtype))[0]
+            if product is None:
+                return mlp_forward(weights, as_float(x[rows], dtype))[0]
+            a = product.a[rows]
+            if fresh:
+                np.matmul(as_float(x[rows], dtype), w0, out=a)
+            h = a + b0
+            np.maximum(h, 0.0, out=h)
+            return mlp_forward(after, h)[0]
 
         outs = []
         # an empty batch still makes one (empty) chunk
@@ -273,6 +380,8 @@ class FeatureExtractor(MLP):
             spans = self._spans(i, min(i + chunk, x.shape[0]))
             run = map if len(spans) == 1 else _span_pool().map
             outs.extend(run(forward, spans))
+        if fresh:  # every span has formed its rows
+            self._products[id(x)] = product
         return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
     def _spans(self, start: int, stop: int) -> list[slice]:
@@ -357,7 +466,9 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
 
 
 def restore_params(ps: ParamSet, stored: dict[str, np.ndarray]) -> None:
-    """Overwrite a ParamSet's values in place from a checkpoint group."""
+    """Overwrite a ParamSet's values in place from a checkpoint group.
+    Only on a fresh extractor: a write to `w0` is not reported to its
+    first-layer products (`FeatureExtractor.evaluation_pass`)."""
     if set(stored) != set(ps.names()):
         raise ValueError("parameter names do not match checkpoint")
     for name, arr in stored.items():

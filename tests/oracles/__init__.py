@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from otcl.autodiff import ParamSet, Tensor
-from otcl.losses import _class_weights
 from otcl.mixture import ClassGroup, ClassMixture, DualPotential, NoiseBuffer, OtmmConfig, _gumbel
 from otcl.model import ClassPrototypes
 
@@ -71,6 +70,13 @@ def class_logits(z: Tensor, protos: ClassPrototypes) -> Tensor:
     return graph.matmul(z, graph.transpose(w))
 
 
+def class_weights(labels: np.ndarray) -> np.ndarray:
+    """Per-sample weights 1/count(class), so sum(w_i * v_i) = per-class mean
+    of v summed over the classes present."""
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return 1.0 / counts[inverse]
+
+
 def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> Tensor:
     """Sum over present classes of the class-mean cross-entropy.
 
@@ -86,7 +92,7 @@ def loss_separation(z: Tensor, labels: np.ndarray, protos: ClassPrototypes) -> T
     logits = class_logits(z, protos)
     true_col = np.array([col[int(c)] for c in labels])
     nll = graph.sub(graph.logsumexp(logits, axis=1), graph.gather(logits, true_col))
-    return graph.tsum(graph.mul(nll, Tensor(_class_weights(labels))))
+    return graph.tsum(graph.mul(nll, Tensor(class_weights(labels))))
 
 
 def loss_compression(z: Tensor, labels: np.ndarray, means: dict[int, np.ndarray]) -> Tensor:
@@ -111,7 +117,7 @@ def loss_compression(z: Tensor, labels: np.ndarray, means: dict[int, np.ndarray]
     own = graph.gather(dists, own_col)
     repel = graph.logsumexp(graph.neg(dists), axis=1)
     per_sample = graph.add(own, repel)
-    return graph.tsum(graph.mul(per_sample, Tensor(_class_weights(labels))))
+    return graph.tsum(graph.mul(per_sample, Tensor(class_weights(labels))))
 
 
 @dataclass(frozen=True)

@@ -240,13 +240,43 @@ def test_float32_evaluation_agrees_with_float64_outside_near_ties():
     assert evaluate_task(Batch(x[clear], want[clear]), fe, mixtures) == 1.0
 
 
-def test_evaluation_does_not_touch_training(tmp_path):
-    # evaluating after every batch must leave every trained array bit for bit
-    runs = {}
+def standin_run_config(tmp_path, **overrides) -> RunConfig:
+    """The paper shape on a small IDX stand-in written by the benchmark's
+    own generator (`perfbench/standin.py`, imported): 60 stream rows and
+    200 held-out rows per task, at the benchmark's pinned rate."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_standin", os.path.join(PERFBENCH, "standin.py")
+    )
+    standin = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(standin)
+    data_dir = tmp_path / "idx"
+    standin.write_standin(str(data_dir), 3, 300, 1000)
+    base = dict(
+        dataset="mnist", data_dir=str(data_dir), num_tasks=5, classes_per_task=2,
+        memory_size=100, batch_size=10, preservation=PreservationConfig(lr_theta=0.01),
+    )
+    return RunConfig(**(base | overrides))
+
+
+@pytest.mark.parametrize("data", ["synth", "idx-standin"])
+def test_evaluation_does_not_touch_training(tmp_path, data):
+    """Evaluating after every batch must leave every trained array and
+    every accuracy-matrix row bit for bit: the mid-task evaluations read
+    first-layer products that the preservation steps update, and each task
+    end drops them, so its row is scored from fresh ones."""
+    runs, metrics = {}, {}
     for every in (False, True):
         out = tmp_path / str(every)
-        run_experiment(tiny_run_config(out_dir=str(out), eval_every_batch=every))
+        if data == "synth":
+            cfg = tiny_run_config(out_dir=str(out), eval_every_batch=every)
+        else:
+            cfg = standin_run_config(tmp_path, out_dir=str(out), eval_every_batch=every)
+        run_experiment(cfg)
         runs[every], _ = load_checkpoint(str(out / "checkpoint_seed0.npz"))
+        metrics[every] = (out / "metrics.csv").read_bytes()
+    assert metrics[True] == metrics[False]
     assert runs[True].keys() == runs[False].keys()
     for group, arrays in runs[False].items():
         assert arrays.keys() == runs[True][group].keys()
@@ -960,6 +990,26 @@ def ring_run_inputs(cfg):
 
     train, test = gen_synthetic(cfg.synth)
     return train, split_tasks(test, cfg.num_tasks, cfg.classes_per_task)
+
+
+def test_each_task_end_scores_from_fresh_products(monkeypatch):
+    """The curve's mid-task evaluations keep first-layer products, which each
+    batch's preservation step updates; `end_task` drops every one, so each
+    accuracy-matrix row forms its products afresh."""
+    import otcl.harness as hz
+
+    cfg = ring_run_config(eval_every_batch=True)
+    train, test_batches = ring_run_inputs(cfg)
+    kept, dropped, end_task = [], [], hz.Learner.end_task
+
+    def checked(learner, t_idx):
+        kept.append(len(learner.fe._products))
+        end_task(learner, t_idx)
+        dropped.append(not learner.fe._products)
+
+    monkeypatch.setattr(hz.Learner, "end_task", checked)
+    hz._run_single_seed(cfg, 0, train, test_batches)
+    assert kept == [1, 2] and dropped == [True, True]
 
 
 def test_checkpoint_round_trip_keeps_the_group_layout(tmp_path):

@@ -720,3 +720,77 @@ def test_every_preservation_write_happens_inside_param_set_step(monkeypatch, cli
         assert param_bytes(fe, protos) == calls[-1][1], f"batch {s}: changed after the last step"
         moved |= {n for entry, exit_ in calls for n in entry if entry[n] != exit_[n]}
     assert moved == set(fe.params.names()) | set(protos.params.names())
+
+
+# ------------------------------------- the report to the evaluation products
+
+
+F32_UNIT = 2.0**-24  # float32 unit roundoff
+
+
+def product_drift_bound(x, w_first, w_last, reports):
+    """The entrywise bound, fixed before measuring, on how far a product
+    updated by `reports` drifts from a product formed fresh after them.
+
+    Per entry, with u the float32 unit roundoff, n inputs, m <= 20 joint
+    rows and k reports, X = x/255 exact, W_0 and W_k the float64 w0 at the
+    first read and after the last step, and (u_j, v_j) the j-th report:
+    S_0 = |X| |W_0|, S_k = |X| |W_k| and T_j = |X| |u_j|^T |v_j|.
+    - The first product rounds X and W_0 once each and sums n products in
+      float32: it is off X W_0 by at most (n + 2) u S_0, to first order.
+      A fresh product is off X W_k by (n + 2) u S_k likewise.
+    - Update j rounds u_j / 255 and v_j, then sums n and m products: off
+      X u_j^T v_j by at most (n + m + 3) u T_j.
+    - Each of the k additions rounds by at most u |A|, and |A| stays under
+      S_0 + sum_j T_j to first order.
+    - Training steps w0 in float64, so W_k is W_0 + sum_j u_j^T v_j up to
+      about 2**-53 of the same sums, far below float32's u.
+    Summed: |A_k - F| <= (n + m + k + 3) u (S_0 + S_k + sum_j T_j), with 1%
+    added for the second-order terms (nu / (1 - nu) per dot product).
+    """
+    pixels = np.abs(x.astype(np.float64) / 255.0)
+    scale = pixels @ np.abs(w_first) + pixels @ np.abs(w_last)
+    for u, v in reports:
+        scale += (pixels @ np.abs(u).T) @ np.abs(v)
+    n, m, k = x.shape[1], max(len(u) for u, _ in reports), len(reports)
+    return 1.01 * (n + m + k + 3) * F32_UNIT * scale
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    held_out=st.integers(1, 64),
+    reports=st.integers(1, 44),
+    lr=st.floats(0.001, 0.01),  # the pinned paper-shape rate at most: 0.05 diverges
+)
+def test_updated_products_stay_within_the_float32_bound_of_fresh_ones(
+    seed, held_out, reports, lr
+):
+    """Preservation steps on a paper-shaped extractor, each reported and
+    each followed by an evaluation read, as `paper-curve-m500` runs them:
+    the updated product stays within `product_drift_bound` of a fresh one.
+    Worst seen over 400 draws from these ranges: 0.27% of the bound."""
+    rng = np.random.default_rng(seed)
+    fe = FeatureExtractor(784, 128, seed=seed)
+    protos = make_protos(128, [0, 1, 2, 3], seed=seed)
+    cfg = L.PreservationConfig(lr_theta=lr)
+    x = rng.integers(0, 256, size=(held_out, 784), dtype=np.uint8)
+    seen, moved = [], fe.w0_moved
+
+    def recorded(u, v):
+        seen.append((u.copy(), v.copy()))
+        moved(u, v)
+
+    fe.w0_moved = recorded
+    w_first = fe.params["w0"].data.copy()
+    for step in range(reports):
+        with fe.evaluation_pass():
+            fe.features_np(x, dtype=np.float32)  # forms, then keeps, the product
+        new = Batch(rng.integers(0, 256, size=(10, 784)) / 255.0, rng.integers(2, 4, size=10))
+        replay = Batch(rng.integers(0, 256, size=(10, 784)) / 255.0, rng.integers(0, 2, size=10))
+        L.dynamic_preservation_step(new, replay, fe, protos, cfg)
+    assert len(seen) == reports
+    w_last = fe.params["w0"].data
+    fresh = (x.astype(np.float32) / np.float32(255)) @ w_last.astype(np.float32)
+    drift = np.abs(fe._products[id(x)].a.astype(np.float64) - fresh)
+    assert (drift <= product_drift_bound(x, w_first, w_last, seen)).all()

@@ -1,11 +1,13 @@
 import contextlib
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import class_logits, finite_diff_check, graph
+from otcl import autodiff as ad
 from otcl import model as m
 from otcl.autodiff import Tensor
 from otcl.data import as_float
@@ -387,3 +389,130 @@ def test_a_write_after_the_pass_shows_in_the_float32_forward(ends):
     after = fe.features_np(x, dtype=np.float32)
     assert after.tobytes() == one_call(fe, x, np.float32).tobytes()
     assert after.tobytes() != before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the first-layer products of an evaluation pass
+
+
+@pytest.mark.parametrize("rows", [1, 47, 400, 2000])
+def test_a_fresh_product_read_is_bytewise_the_forward_without_products(
+    rows, one_thread, monkeypatch
+):
+    """The first float32 read of an array in a pass forms its product span
+    by span, so its features are those of a call outside any pass; 400 and
+    2000 rows split into two spans, 1 and 47 rows run in one."""
+    monkeypatch.setattr(m, "_cpus", lambda: 2)
+    recorder = SpanRecorder()
+    monkeypatch.setattr(m, "_span_pool", lambda: recorder)
+    fe = m.FeatureExtractor(784, 128, seed=0)
+    rng = np.random.default_rng(rows)
+    for x in (rng.integers(0, 256, size=(rows, 784), dtype=np.uint8), rng.random((rows, 784))):
+        want = fe.features_np(x, dtype=np.float32)
+        assert not fe._products  # none outside a pass
+        recorder.splits.clear()
+        with fe.evaluation_pass():
+            fresh = fe.features_np(x, dtype=np.float32)
+            again = fe.features_np(x, dtype=np.float32)  # the product, as formed
+        assert recorder.splits == ([2, 2] if rows >= 400 else [])
+        assert fresh.tobytes() == want.tobytes() == again.tobytes()
+        assert list(fe._products) == [id(x)]
+        fe.drop_products()
+
+
+def test_a_split_update_is_bytewise_the_update_on_the_calling_thread(one_thread, monkeypatch):
+    """Seven pool threads (more than the cores) share the spans of a
+    2000-row product under a short switch interval: every row is updated
+    once, as on the calling thread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    fe = m.FeatureExtractor(784, 128, seed=4)
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 256, size=(2000, 784), dtype=np.uint8)
+    u, v = rng.random((20, 784)), 1e-3 * rng.standard_normal((20, 400))
+
+    def updated(workers: int) -> np.ndarray:
+        monkeypatch.setattr(m, "_cpus", lambda: workers)
+        fe.drop_products()
+        with fe.evaluation_pass():
+            fe.features_np(x, dtype=np.float32)
+        fe.w0_moved(u, v)
+        return fe._products[id(x)].a
+
+    alone = updated(1)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(max_workers=7) as pool:
+        monkeypatch.setattr(m, "_span_pool", lambda: pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            split = updated(7)
+        finally:
+            sys.setswitchinterval(interval)
+    assert split.tobytes() == alone.tobytes()
+
+
+def test_a_product_no_evaluation_read_since_the_last_report_is_dropped():
+    fe = m.FeatureExtractor(784, 16, seed=1, hidden=32)
+    rng = np.random.default_rng(6)
+    kept, unread = (rng.integers(0, 256, size=(30, 784), dtype=np.uint8) for _ in range(2))
+    u, v = rng.random((20, 784)), 1e-3 * rng.standard_normal((20, 32))
+    with fe.evaluation_pass():
+        fe.features_np(kept, dtype=np.float32)
+        fe.features_np(unread, dtype=np.float32)
+        fe.features_np(rng.random((5, 784)))  # float64: no product
+    assert set(fe._products) == {id(kept), id(unread)}
+    fe.w0_moved(u, v)  # both were read: both are updated
+    assert set(fe._products) == {id(kept), id(unread)}
+    with fe.evaluation_pass():
+        fe.features_np(kept, dtype=np.float32)
+    fe.w0_moved(u, v)
+    assert list(fe._products) == [id(kept)]
+    fe.w0_moved(u, v)  # read by none since the last report
+    assert not fe._products
+
+
+def test_a_report_moves_a_product_as_the_step_moves_w0():
+    """`w0_moved(u, v)` is the move `w0 += u.T @ v`: after it, the updated
+    product serves features close to a fresh forward, and dropping the
+    products gives that fresh forward bit for bit."""
+    fe = m.FeatureExtractor(784, 16, seed=2, hidden=32)
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 256, size=(40, 784), dtype=np.uint8)
+    u, v = rng.random((20, 784)), 1e-2 * rng.standard_normal((20, 32))
+    with fe.evaluation_pass():
+        before = fe.features_np(x, dtype=np.float32)
+    fe.params["w0"].data += u.T @ v
+    fe.w0_moved(u, v)
+    with fe.evaluation_pass():
+        updated = fe.features_np(x, dtype=np.float32)
+    fresh = one_call(fe, x, np.float32)
+    assert np.abs(fresh - before).max() > 100 * np.abs(fresh - updated).max()
+    fe.drop_products()
+    with fe.evaluation_pass():
+        assert fe.features_np(x, dtype=np.float32).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("dims", [[6, 5, 4, 3], [784, 400, 400, 128]])
+def test_backward_returns_the_oracles_first_layer_cotangent(dims):
+    """`mlp_backward` returns d(loss)/d(x @ w0 + b0), bytewise the oracle's
+    (`MLP.forward`'s graph cut at that pre-activation), and writes every
+    parameter gradient bytewise as `backward` of the whole graph."""
+    net = m.MLP(dims, seed=3)
+    rng = np.random.default_rng(8)
+    x, g_out = rng.normal(size=(20, dims[0])), rng.normal(size=(20, dims[-1]))
+    layers = net.weights()
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    out, hidden = m.mlp_forward(layers, x)
+    cotangent = m.mlp_backward(layers, [x, *hidden], g_out, grads)
+
+    ad.backward(graph.tsum(graph.mul(net.forward(Tensor(x)), Tensor(g_out))))
+    for (g_w, g_b), (w, b) in zip(grads, m.mlp_layers(dict(net.params.items()))):
+        assert g_w.tobytes() == w.grad.tobytes() and g_b.tobytes() == b.grad.tobytes()
+
+    pre = Tensor(ad.add(ad.matmul(Tensor(x), net.params["w0"]), net.params["b0"]).data, True)
+    h = pre
+    for i in range(1, len(dims) - 1):
+        h = ad.add(ad.matmul(ad.relu(h), net.params[f"w{i}"]), net.params[f"b{i}"])
+    ad.backward(graph.tsum(graph.mul(h, Tensor(g_out))))
+    # the leaf accumulates into +0.0, which drops the sign of a zero entry
+    assert (0.0 + cotangent).tobytes() == pre.grad.tobytes()
