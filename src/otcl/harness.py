@@ -267,7 +267,8 @@ class Learner:
         self.cfg, self.seed = cfg, seed
         self.fe = FeatureExtractor(input_dim, cfg.feat_dim, seed=seed, hidden=cfg.hidden_dim)
         self.protos = ClassPrototypes(cfg.feat_dim)
-        self.state = OtmmState(cfg.n_centroids, cfg.feat_dim, seed=seed)
+        n_classes = cfg.num_tasks * cfg.classes_per_task
+        self.state = OtmmState(cfg.n_centroids, cfg.feat_dim, n_classes, seed=seed)
         self.mem = ReplayMemory(cfg.memory_size, seed=seed)
         self.replay_rng = np.random.default_rng((seed, 1))
         self.otmm_rng = np.random.default_rng((seed, 2))
@@ -516,9 +517,9 @@ def load_model(path: str) -> tuple[FeatureExtractor, OtmmState, ClassPrototypes,
     groups, meta = load_checkpoint(path)
     k, d = meta["n_centroids"], meta["feat_dim"]
     fe = FeatureExtractor(meta["input_dim"], d, hidden=meta["hidden_dim"])
-    state = OtmmState(k, d)
+    state = OtmmState(k, d, meta["num_tasks"] * meta["classes_per_task"])
     for c in meta["classes"]:
-        state.mixtures[c], state.potentials[c] = ClassMixture(k, d), DualPotential(d)
+        state.add_class(c, ClassMixture(k, d), DualPotential(d))
     protos = ClassPrototypes(d)
     protos.init_new_classes(meta["prototype_classes"], seed=0)
     for name, params in _param_groups(fe, state, protos).items():

@@ -14,21 +14,19 @@ shrinking the entropic transport cost between the mixture and the class's
 data as batches stream by.
 
 The transport step runs on plain numpy arrays, one pass per batch rather
-than per class. A `ClassGroup` stacks the features, draws and parameters of
-every class in the batch along a leading class axis, padded to the largest
-class and masked. `update_phi` and `update_mixture` then take every phase
-step once for all of them, with the value and exact gradient of the side
-being updated in closed form; the frozen side is only evaluated. The stacked
-potentials run through the extractor's kernel, `model.mlp_forward`/
-`mlp_backward`, class axis leading. The group draws all of its noise before
-its first step, in the order a per-class loop would: classes in ascending
-id; per class n_phi_steps draws, then n_mix_steps draws; each draw
-rng.random((m, K)) followed by rng.standard_normal((m, K, d)). It draws into
-a buffer that the state keeps from batch to batch (`NoiseBuffer`), not into
-arrays of its own, so a batch does not hand that memory back to the kernel
-and fault it in again. Every step's new values are checked for finite
-values per class, and nothing is written back until both phases have
-stepped: a non-finite step leaves every class as it was.
+than per class. A `ClassGroup` stacks the features and draws of every class
+in the batch along a leading class axis, padded to the largest class and
+masked, and gathers their parameters from the state's class-indexed rows.
+`update_phi` and `update_mixture` then take every phase step once for all
+of them, with the value and exact gradient of the side being updated in
+closed form; the frozen side is only evaluated. The stacked potentials run
+through the extractor's kernel, `model.mlp_forward`/`mlp_backward`, class
+axis leading. The group draws all of its noise before its first step, in
+the order a per-class loop would (`_draw_group_noise`), into a buffer that
+the state keeps from batch to batch (`NoiseBuffer`). Every step's new
+values are checked for finite values per class, and nothing is scattered
+back until both phases have stepped: a non-finite step leaves every class
+as it was.
 The tests hold those gradients to `dual_objective`, which builds the same
 value as an autodiff graph in `tests/oracles/`.
 """
@@ -149,20 +147,14 @@ class DualPotential(MLP):
 
 class _Stack:
     """One parameter set per class, stacked: row c of `value` (C, size) holds
-    every parameter of class c, `grad` has the same layout, and `v` / `g` map
-    each parameter name to its (C, *shape) view of them."""
+    every parameter of class c, laid end to end as `shapes` lists them, `grad`
+    has the same layout, and `v` / `g` map each name to its (C, *shape) view."""
 
-    def __init__(self, param_sets: list[ParamSet]):
-        self.param_sets = param_sets
-        shapes = {name: t.data.shape for name, t in param_sets[0].items()}
-        size = sum(math.prod(shape) for shape in shapes.values())
-        self.value = np.empty((len(param_sets), size))
-        self.grad = np.empty_like(self.value)
+    def __init__(self, value: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.value = value
+        self.grad = np.empty_like(value)
         self.v = dict(zip(shapes, _end_to_end(self.value, shapes.values())))
         self.g = dict(zip(shapes, _end_to_end(self.grad, shapes.values())))
-        for c, params in enumerate(param_sets):
-            for name, t in params.items():
-                self.v[name][c] = t.data
 
     def advance(self, lr: float, ids: list[int], phase: str) -> None:
         """value + lr * grad for every class, or for none: the new values are
@@ -181,11 +173,6 @@ class _Stack:
             )
         self.value, self.grad = self.grad, self.value
         self.v, self.g = self.g, self.v
-
-    def write_back(self) -> None:
-        for c, params in enumerate(self.param_sets):
-            for name, t in params.items():
-                np.copyto(t.data, self.v[name][c])
 
 
 def _end_to_end(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -245,30 +232,24 @@ class ClassGroup:
 
     Features are zero-padded to the group's most rows N and draws to its most
     draws M; `row_w` (C, N) and `draw_w` (C, M) are 1/n and 1/m on a class's
-    real rows and draws and 0 on padding. All noise of both phases is drawn
-    here, in the order a per-class step draws it: class by class in the
-    given (ascending) order, n_phi_steps then n_mix_steps draws per class,
-    into `noise`, which the next group drawn into the same buffer
-    overwrites. (The tests' `oracles.frozen_noise_group` replaces a group's
-    noise with one frozen draw for every step.) Updated parameters stay in
-    the stacks until `write_back`.
+    real rows and draws and 0 on padding. The parameter stacks are a gather
+    of the classes' rows of `state`'s stores, which `otmm_step` scatters
+    back. All noise of both phases is drawn here, into `state.noise`, in the
+    order a per-class step draws it: class by class in the given (ascending)
+    order, n_phi_steps then n_mix_steps draws per class.
     """
 
     def __init__(
         self,
         ids: list[int],
         features: list[np.ndarray],
-        mixtures: list[ClassMixture],
-        potentials: list[DualPotential],
+        state: "OtmmState",
         cfg: OtmmConfig,
         rng: np.random.Generator,
-        noise: NoiseBuffer,
     ):
-        ns = [f.shape[0] for f in features]
-        if min(ns) == 0:
-            raise ValueError("empty feature batch")
+        ns = [f.shape[0] for f in features]  # each positive (`otmm_step` drops empty classes)
         ms = [cfg.n_mix_samples or n for n in ns]
-        k, dim = mixtures[0].n_components, mixtures[0].feat_dim
+        k, dim = state.n_components, state.feat_dim
         self.ids = list(ids)
         self.z = np.zeros((len(ns), max(ns), dim))
         self.row_w = np.zeros((len(ns), max(ns)))
@@ -282,18 +263,13 @@ class ClassGroup:
         # -|z|^2, and -inf on padded rows so that no plan sends them mass
         z_sq = np.einsum("cnd,cnd->cn", self.z, self.z)
         self.neg_z_sq = np.where(self.row_w > 0, -z_sq, -np.inf)
-        self.mixture = _Stack([mix.params for mix in mixtures])
-        self.potential = _Stack([phi.params for phi in potentials])
+        self.mixture = _Stack(state.mixture_rows[self.ids], state.mixture_shapes)
+        self.potential = _Stack(state.potential_rows[self.ids], state.potential_shapes)
 
         n_steps = cfg.n_phi_steps + cfg.n_mix_steps
-        gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng, noise)
+        gumbel, gauss = _draw_group_noise(ms, k, dim, n_steps, rng, state.noise)
         self.phi_noise = gumbel[: cfg.n_phi_steps], gauss[: cfg.n_phi_steps]
         self.mix_noise = gumbel[cfg.n_phi_steps :], gauss[cfg.n_phi_steps :]
-
-    def write_back(self) -> None:
-        """Copy the stacked parameters into each class's ParamSets."""
-        self.mixture.write_back()
-        self.potential.write_back()
 
 
 def stacked_draws(
@@ -428,30 +404,62 @@ class OtmmState:
 
     Init seeds derive from (seed, class id), so a rerun with the same stream
     builds bitwise-identical state regardless of class arrival order.
+
+    Row c of `mixture_rows` (n_classes, K (1 + 2d)) and of `potential_rows`
+    (n_classes, P) holds class c's parameters as a `_Stack` row lays them, in
+    the shapes of the first class stored; `mixtures[c]` and `potentials[c]`
+    are views on it. Their tensors have no gradient buffer: nothing steps
+    them, as `ParamSet.step` would swap the views away. A `copy.deepcopy`'s
+    objects are standalone arrays that do not follow its stores.
     """
 
-    def __init__(self, n_components: int, feat_dim: int, seed: int = 0):
-        if n_components < 1:
-            raise ValueError("need at least one component")
+    def __init__(self, n_components: int, feat_dim: int, n_classes: int, seed: int = 0):
         self.n_components = n_components
         self.feat_dim = feat_dim
+        self.n_classes = n_classes
         self.seed = seed
         self.mixtures: dict[int, ClassMixture] = {}
         self.potentials: dict[int, DualPotential] = {}
+        self.mixture_shapes = self.mixture_rows = None  # laid out by the first class stored
+        self.potential_shapes = self.potential_rows = None
         self.noise = NoiseBuffer()
 
     def ensure_class(self, class_id: int, features: np.ndarray) -> None:
         if class_id in self.mixtures:
             return
-        self.mixtures[class_id] = ClassMixture.from_features(
-            features, self.n_components, seed=np.random.default_rng((self.seed, class_id)).integers(2**31),
-        )
-        self.potentials[class_id] = DualPotential(
-            self.feat_dim, seed=np.random.default_rng((self.seed, class_id, 1)).integers(2**31),
-        )
+        if not 0 <= class_id < self.n_classes:  # before a negative id reaches the seeds
+            raise ValueError(f"class id {class_id} outside the store of {self.n_classes} classes")
+        mix_seed = np.random.default_rng((self.seed, class_id)).integers(2**31)
+        phi_seed = np.random.default_rng((self.seed, class_id, 1)).integers(2**31)
+        mixture = ClassMixture.from_features(features, self.n_components, seed=mix_seed)
+        self.add_class(class_id, mixture, DualPotential(self.feat_dim, seed=phi_seed))
+
+    def add_class(self, class_id: int, mixture: ClassMixture, potential: DualPotential) -> None:
+        """Copy a class's parameters, whole, into row `class_id` of the stores."""
+        if not 0 <= class_id < self.n_classes:
+            raise ValueError(f"class id {class_id} outside the store of {self.n_classes} classes")
+        if self.mixture_rows is None:
+            self.mixture_shapes, self.mixture_rows = _layout(mixture.params, self.n_classes)
+            self.potential_shapes, self.potential_rows = _layout(potential.params, self.n_classes)
+        _store(mixture.params, self.mixture_rows[class_id], self.mixture_shapes)
+        _store(potential.params, self.potential_rows[class_id], self.potential_shapes)
+        self.mixtures[class_id], self.potentials[class_id] = mixture, potential
 
     def known(self) -> list[int]:
         return sorted(self.mixtures)
+
+
+def _layout(params: ParamSet, n_classes: int) -> tuple[dict[str, tuple[int, ...]], np.ndarray]:
+    """The shapes of `params` and a zeroed store of n_classes rows of them."""
+    shapes = {name: t.shape for name, t in params.items()}
+    return shapes, np.zeros((n_classes, sum(math.prod(shape) for shape in shapes.values())))
+
+
+def _store(params: ParamSet, row: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Copy `params` into `row` and make each tensor's data its slot there."""
+    for t, slot in zip(params.tensors(), _end_to_end(row, shapes.values())):
+        np.copyto(slot, t.data)
+        t.data, t.grad = slot, None
 
 
 def otmm_step(
@@ -468,14 +476,13 @@ def otmm_step(
     ClassGroup, each phase once, drawing its noise into `state.noise`. That
     noise is the step's transient memory: C·M·(n_phi_steps + n_mix_steps)·
     K·(d+2)·8 bytes for C classes of at most M draws each, and a joint batch
-    holds at most twice the batch size in classes. Returns per-class
-    objective traces. The per-class autodiff loop it is tested against is
-    built on `dual_objective` in `tests/oracles/`.
+    holds at most twice the batch size in classes. The stepped rows are
+    scattered back to the stores. Returns per-class objective traces.
 
     A non-finite update raises NumericsError with the class id, phase and
     parameter of the lowest-id failing class at the first failing step, and
     every potential step comes before every mixture step. Nothing is then
-    written for any class, and classes first seen in this call are removed.
+    scattered for any class, and classes first seen in this call are removed.
     """
     feats = {}
     for c in sorted(features_by_class):
@@ -489,24 +496,16 @@ def otmm_step(
         state.ensure_class(c, f)
     ids = list(feats)
     try:
-        group = ClassGroup(
-            ids,
-            list(feats.values()),
-            [state.mixtures[c] for c in ids],
-            [state.potentials[c] for c in ids],
-            cfg,
-            rng,
-            state.noise,
-        )
+        group = ClassGroup(ids, list(feats.values()), state, cfg, rng)
         phi_values = update_phi(group, cfg)
         mix_values = update_mixture(group, cfg)
     except NumericsError:
         for c in new:
             del state.mixtures[c], state.potentials[c]
         raise
-    group.write_back()
+    state.mixture_rows[ids] = group.mixture.value
+    state.potential_rows[ids] = group.potential.value
     return {
         c: {"phi": phi_values[:, i].tolist(), "mixture": mix_values[:, i].tolist()}
         for i, c in enumerate(ids)
     }
-

@@ -4,19 +4,21 @@ Nothing under `src/` imports this package. `ot_ref` holds exact and Sinkhorn
 transport solvers, and `graph` the reverse-mode op set. Here, on graphs of
 those ops: the central-difference check `finite_diff_check`, the
 preservation losses of `otcl.losses`, and the semi-dual transport objective
-of `otcl.mixture` with its frozen noise. The closed-form updates of
+of `otcl.mixture` with its frozen noise, and a one-class transport state
+that steps copies of standalone objects. The closed-form updates of
 `dynamic_preservation_step` and `otmm_step` are tested against `backward` of
 these graphs.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from otcl.autodiff import ParamSet, Tensor
-from otcl.mixture import ClassGroup, ClassMixture, DualPotential, NoiseBuffer, OtmmConfig, _gumbel
+from otcl.mixture import ClassGroup, ClassMixture, DualPotential, OtmmConfig, OtmmState, _gumbel
 from otcl.model import ClassPrototypes
 
 from . import graph
@@ -242,12 +244,20 @@ def dual_objective(
     )
 
 
+def one_class_state(mix: ClassMixture, phi: DualPotential) -> OtmmState:
+    """An `OtmmState` whose one class, 0, stores copies of `mix` and `phi`:
+    a group gathered from it steps them and leaves the originals alone."""
+    state = OtmmState(mix.n_components, mix.feat_dim, 1)
+    state.add_class(0, copy.deepcopy(mix), copy.deepcopy(phi))
+    return state
+
+
 def frozen_noise_group(
     z: np.ndarray, mix: ClassMixture, phi: DualPotential, cfg: OtmmConfig, noise: MixtureNoise
 ) -> ClassGroup:
     """A `ClassGroup` of one class whose every step reuses the frozen
     `noise`, in place of the noise the group drew from its generator."""
-    group = ClassGroup([0], [z], [mix], [phi], cfg, np.random.default_rng(0), NoiseBuffer())
+    group = ClassGroup([0], [z], one_class_state(mix, phi), cfg, np.random.default_rng(0))
     m, k = cfg.n_mix_samples or z.shape[0], mix.n_components
     noise = _draw_noise(m, k, mix.feat_dim, None, noise)
     n_steps = cfg.n_phi_steps + cfg.n_mix_steps

@@ -346,6 +346,38 @@ def test_export_embeddings_schema(toy_config, tmp_path, capsys):
     assert set(body[:, -1].astype(int).tolist()) == {0, 1}
 
 
+@pytest.mark.parametrize("edit", ["one-task", "negative-id"])
+def test_eval_of_a_class_outside_the_task_layout_is_bad_checkpoint(edit, toy_config, tmp_path, capsys):
+    # the transport store has num_tasks x classes_per_task rows: a checkpoint
+    # whose meta lists a class outside them is rejected as a bad checkpoint
+    # (exit 2), not with an IndexError traceback or a read from the store's end
+    from otcl.autodiff import ParamSet
+    from otcl.model import load_checkpoint, save_checkpoint
+
+    ckpt = run_to_checkpoint(toy_config, tmp_path)
+    groups, meta = load_checkpoint(str(ckpt))
+    if edit == "one-task":
+        meta["classes_per_task"] = 1  # class 1 is then past the store's one row
+    else:
+        meta["classes"] = [-1, 1]
+        for kind in ("mixture", "potential"):
+            groups[f"{kind}_-1"] = groups.pop(f"{kind}_0")
+    param_sets = {}
+    for name, arrays in groups.items():
+        param_sets[name] = ParamSet()
+        for key, value in arrays.items():
+            param_sets[name].add(key, value)
+    bad = tmp_path / "bad.npz"
+    save_checkpoint(str(bad), param_sets, meta)
+    npz = tmp_path / "toy.npz"
+    assert main(["gen-synth", "--out", str(npz), "--num-classes", "2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--synth-npz", str(npz)]) == 2
+    err = capsys.readouterr().err
+    assert "bad checkpoint" in err and "outside the store of" in err
+    assert "Traceback" not in err
+
+
 def test_eval_requires_a_data_source(toy_config, tmp_path, capsys):
     ckpt = run_to_checkpoint(toy_config, tmp_path)
     capsys.readouterr()

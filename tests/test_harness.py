@@ -1036,6 +1036,43 @@ def test_checkpoint_round_trip_keeps_the_group_layout(tmp_path):
     ).read_bytes()
 
 
+def test_a_stored_state_saves_the_checkpoint_of_standalone_copies(tmp_path):
+    # The run's mixtures and potentials are views on the transport store. Its
+    # checkpoint is byte for byte the one written from standalone objects
+    # holding the same values, as every checkpoint was laid out before the
+    # store; that file loads back into a store and scores as the run did.
+    import otcl.harness as hz
+    from otcl.mixture import DualPotential
+    from otcl.model import restore_params, save_checkpoint
+
+    cfg = ring_run_config()
+    train, test_batches = ring_run_inputs(cfg)
+    _, learner = hz._run_single_seed(cfg, 0, train, test_batches)
+    learner.save(str(tmp_path / "stored"))
+    _, meta = load_checkpoint(str(tmp_path / "stored" / "checkpoint_seed0.npz"))
+
+    state = learner.state
+    groups = {"extractor": learner.fe.params, "prototypes": learner.protos.params}
+    for c in state.known():
+        mix, phi = ClassMixture(cfg.n_centroids, cfg.feat_dim), DualPotential(cfg.feat_dim)
+        restore_params(mix.params, {n: t.data for n, t in state.mixtures[c].params.items()})
+        restore_params(phi.params, {n: t.data for n, t in state.potentials[c].params.items()})
+        assert not np.shares_memory(mix.params["mu"].data, state.mixture_rows)
+        groups[f"mixture_{c}"], groups[f"potential_{c}"] = mix.params, phi.params
+    (tmp_path / "alone").mkdir()
+    save_checkpoint(str(tmp_path / "alone" / "checkpoint_seed0.npz"), groups, meta)
+    assert (tmp_path / "alone" / "checkpoint_seed0.npz").read_bytes() == (
+        tmp_path / "stored" / "checkpoint_seed0.npz"
+    ).read_bytes()
+
+    fe, loaded, _, _ = load_model(str(tmp_path / "alone" / "checkpoint_seed0.npz"))
+    assert loaded.known() == state.known() and loaded.n_classes == 4
+    assert loaded.mixture_rows.tobytes() == state.mixture_rows.tobytes()
+    assert loaded.potential_rows.tobytes() == state.potential_rows.tobytes()
+    assert np.shares_memory(loaded.mixtures[3].params["mu"].data, loaded.mixture_rows)
+    assert hz.evaluate_tasks(test_batches, fe, loaded.mixtures) == learner.evaluate(test_batches)
+
+
 def test_the_transport_step_gets_the_joint_batch_by_class(monkeypatch):
     # observe hands otmm_step the features of the stream batch and the replay
     # draw together, one array per class in ascending class order: bytewise

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (draw_mixture_noise, dual_objective, finite_diff_check, frozen_noise_group,
-                     graph, gumbel_softmax_sample, phi_tilde, sample_mixture)
+                     graph, gumbel_softmax_sample, one_class_state, phi_tilde, sample_mixture)
 from oracles.ot_ref import DiscreteMeasure, sinkhorn_distance
 from otcl import data as dt
 from otcl import mixture as mx
@@ -74,14 +74,17 @@ def param_arrays(params) -> dict[str, np.ndarray]:
 
 
 def step_alone(phase, z, mix, phi, cfg, rng=None, noise=None) -> list[float]:
-    """One phase of the stacked step for a group of one class, written back."""
+    """One phase of the stacked step for a group of one class, copied back
+    into `mix` and `phi`."""
     z = np.asarray(z, dtype=np.float64)
     if noise is None:
-        group = mx.ClassGroup([0], [z], [mix], [phi], cfg, rng, mx.NoiseBuffer())
+        group = mx.ClassGroup([0], [z], one_class_state(mix, phi), cfg, rng)
     else:
         group = frozen_noise_group(z, mix, phi, cfg, noise)
     values = (mx.update_phi if phase == "phi" else mx.update_mixture)(group, cfg)
-    group.write_back()
+    for params, stack in ((mix.params, group.mixture), (phi.params, group.potential)):
+        for name, t in params.items():
+            np.copyto(t.data, stack.v[name][0])
     return values[:, 0].tolist()
 
 
@@ -428,6 +431,7 @@ def test_update_mixture_leaves_potential_untouched():
 def make_state(**kw):
     kw.setdefault("n_components", 2)
     kw.setdefault("feat_dim", 2)
+    kw.setdefault("n_classes", 8)
     return mx.OtmmState(**kw)
 
 
@@ -683,7 +687,7 @@ def test_otmm_step_matches_autodiff_reference(monkeypatch):
             epsilon=0.5, tau=0.5, n_phi_steps=5, n_mix_steps=3, lr_phi=0.05,
             n_mix_samples=n_mix_samples,
         )
-        state = mx.OtmmState(n_components=4, feat_dim=12, seed=1)
+        state = mx.OtmmState(n_components=4, feat_dim=12, n_classes=8, seed=1)
         mx.otmm_step(feats, state, cfg, np.random.default_rng(0))  # warm, non-trivial state
         ref_state = copy.deepcopy(state)
 
@@ -712,7 +716,7 @@ def test_otmm_step_matches_autodiff_reference(monkeypatch):
 def test_otmm_step_with_an_empty_phase_matches_autodiff_reference(n_phi_steps, n_mix_steps):
     data_rng = np.random.default_rng(43)
     feats = {1: data_rng.standard_normal((9, 4)), 3: data_rng.standard_normal((5, 4)) + 1.0}
-    state = mx.OtmmState(n_components=3, feat_dim=4, seed=1)
+    state = mx.OtmmState(n_components=3, feat_dim=4, n_classes=8, seed=1)
     warm = mx.OtmmConfig(epsilon=0.5, tau=0.5, n_mix_samples=16)
     mx.otmm_step(feats, state, warm, np.random.default_rng(0))
     ref_state = copy.deepcopy(state)
@@ -813,7 +817,11 @@ def test_stacked_potentials_run_the_extractor_kernel_bit_for_bit():
     phis = [mx.DualPotential(8, seed=s) for s in (1, 2, 3, 4)]
     z = rng.standard_normal((4, 20, 8))
     g = rng.standard_normal((4, 20, 1))
-    stack = mx._Stack([phi.params for phi in phis])
+    shapes = {name: t.shape for name, t in phis[0].params.items()}
+    stack = mx._Stack(
+        np.stack([np.concatenate([t.data.ravel() for t in phi.params.tensors()]) for phi in phis]),
+        shapes,
+    )
     layers = model.mlp_layers(stack.v)
     out, hidden = model.mlp_forward(layers, z)
     model.mlp_backward(layers, [z, *hidden], g, model.mlp_layers(stack.g))
@@ -834,9 +842,11 @@ def test_class_stepped_alone_matches_it_stacked_beside_a_larger_class(monkeypatc
     data_rng = np.random.default_rng(60)
     small, large = data_rng.standard_normal((3, 4)), data_rng.standard_normal((9, 4)) + 1.0
     cfg = mx.OtmmConfig(n_phi_steps=4, n_mix_steps=3)
-    state = mx.OtmmState(n_components=3, feat_dim=4, seed=2)
-    mx.otmm_step({1: small, 4: large}, state, cfg, np.random.default_rng(0))
-    alone = copy.deepcopy(state)
+    # two states warmed alike: a deep copy's objects would not follow the
+    # stores that otmm_step steps (see OtmmState)
+    state, alone = (mx.OtmmState(n_components=3, feat_dim=4, n_classes=8, seed=2) for _ in range(2))
+    for s in (state, alone):
+        mx.otmm_step({1: small, 4: large}, s, cfg, np.random.default_rng(0))
 
     groups = spy_on_groups(monkeypatch)
     report = mx.otmm_step({1: small, 4: large}, state, cfg, np.random.default_rng(61))
@@ -855,6 +865,25 @@ def test_class_stepped_alone_matches_it_stacked_beside_a_larger_class(monkeypatc
             )
 
 
+def store_bytes(state, rows=None) -> tuple[bytes, bytes]:
+    """Both stores' bytes, whole or in the given rows."""
+    rows = slice(None) if rows is None else rows
+    return state.mixture_rows[rows].tobytes(), state.potential_rows[rows].tobytes()
+
+
+def stored_objects(state) -> dict:
+    """Each class's stored objects, by identity, and whether every tensor of
+    theirs is still a view on its row of the stores."""
+    return {
+        c: (
+            id(state.mixtures[c]), id(state.potentials[c]),
+            all(np.shares_memory(t.data, state.mixture_rows[c]) for t in state.mixtures[c].params.tensors()),
+            all(np.shares_memory(t.data, state.potential_rows[c]) for t in state.potentials[c].params.tensors()),
+        )
+        for c in state.known()
+    }
+
+
 def test_nonfinite_features_raise_at_origin_and_leave_class_unchanged():
     rng = np.random.default_rng(50)
     state = make_state(seed=2)
@@ -864,10 +893,13 @@ def test_nonfinite_features_raise_at_origin_and_leave_class_unchanged():
         c: (param_arrays(state.mixtures[c].params), param_arrays(state.potentials[c].params))
         for c in state.known()
     }
+    objects, stores = stored_objects(state), store_bytes(state)
     bad = rng.standard_normal((4, 2))
     bad[2] = [np.nan, 1.0]
     with pytest.raises(NumericsError) as info:
         mx.otmm_step({5: bad}, state, cfg, rng)
+    assert store_bytes(state) == stores
+    assert stored_objects(state) == objects
     assert (info.value.class_id, info.value.phase) == (5, "phi")
     assert "class 5" in str(info.value) and "phi" in str(info.value)
     assert info.value.param in state.potentials[5].params
@@ -889,16 +921,24 @@ def test_failure_in_a_higher_class_writes_nothing_for_any_class(monkeypatch):
         c: (param_arrays(state.mixtures[c].params), param_arrays(state.potentials[c].params))
         for c in state.known()
     }
+    objects, stores = stored_objects(state), store_bytes(state, rows=[0, 5])
     bad = rng.standard_normal((6, 2))
     bad[4] = [1.0, np.nan]
     stepped = spy_on_groups(monkeypatch)
+    old, new = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
     with pytest.raises(NumericsError) as info:
-        mx.otmm_step(
-            {0: rng.standard_normal((4, 2)), 3: rng.standard_normal((3, 2)), 5: bad}, state, cfg, rng
-        )
+        mx.otmm_step({0: old, 3: new, 5: bad}, state, cfg, rng)
     assert stepped == [[0, 3, 5]]
     assert (info.value.class_id, info.value.phase) == (5, "phi")
     assert state.known() == [0, 5]
+    # every stored class's rows and objects are as they were; class 3's rows
+    # keep its first values until it returns, and are then written whole
+    assert store_bytes(state, rows=[0, 5]) == stores
+    assert stored_objects(state) == objects
+    state.ensure_class(3, new)
+    fresh = make_state(seed=4)
+    fresh.ensure_class(3, new)
+    assert store_bytes(state, rows=[3]) == store_bytes(fresh, rows=[3])
     for c, (mix_before, phi_before) in before.items():
         for name, v in mix_before.items():
             np.testing.assert_array_equal(state.mixtures[c].params[name].data, v)
@@ -936,10 +976,13 @@ def test_mixture_phase_failure_rolls_back_the_whole_class_step():
     mx.otmm_step(feats, state, mx.OtmmConfig(n_mix_samples=8), rng)
     mix_before = param_arrays(state.mixtures[1].params)
     phi_before = param_arrays(state.potentials[1].params)
+    objects, stores = stored_objects(state), store_bytes(state)
     cfg = mx.OtmmConfig(n_phi_steps=3, n_mix_steps=2, n_mix_samples=8, lr_mix=1e300)
     with pytest.raises(NumericsError) as info:
         mx.otmm_step(feats, state, cfg, rng)
     assert (info.value.class_id, info.value.phase) == (1, "mixture")
+    assert store_bytes(state) == stores
+    assert stored_objects(state) == objects
     for name, v in mix_before.items():
         np.testing.assert_array_equal(state.mixtures[1].params[name].data, v)
     for name, v in phi_before.items():
@@ -953,6 +996,86 @@ def test_failed_first_step_does_not_add_the_class():
     with pytest.raises(NumericsError):
         mx.otmm_step({4: bad}, state, mx.OtmmConfig(), np.random.default_rng(0))
     assert state.known() == []
+
+
+# ------------------------------------------------ class-indexed store
+
+
+def test_a_gather_and_scatter_without_a_step_leave_the_stores_bytewise():
+    rng = np.random.default_rng(80)
+    state = make_state(seed=8)
+    cfg = mx.OtmmConfig(n_phi_steps=2, n_mix_steps=2, n_mix_samples=8)
+    mx.otmm_step({c: rng.standard_normal((5, 2)) for c in (0, 3, 6)}, state, cfg, rng)
+    stores = store_bytes(state)
+    ids = [0, 3, 6]
+    idle = mx.OtmmConfig(n_phi_steps=0, n_mix_steps=0)
+    group = mx.ClassGroup(ids, [rng.standard_normal((4, 2))] * 3, state, idle, rng)
+    assert not np.shares_memory(group.mixture.value, state.mixture_rows)
+    assert not np.shares_memory(group.potential.value, state.potential_rows)
+    state.mixture_rows[ids] = group.mixture.value
+    state.potential_rows[ids] = group.potential.value
+    assert store_bytes(state) == stores
+    mx.otmm_step({c: rng.standard_normal((4, 2)) for c in (3, 6)}, state, idle, rng)
+    assert store_bytes(state) == stores
+
+
+def test_stored_objects_read_and_write_the_bytes_of_standalone_ones():
+    # class 3 stored by ensure_class against the same objects built alone
+    # from the same seeds: same bytes, the row is their parameters end to
+    # end, and a write through either side shows on the other
+    feats = np.random.default_rng(81).standard_normal((6, 3))
+    state = mx.OtmmState(n_components=2, feat_dim=3, n_classes=5, seed=4)
+    state.ensure_class(3, feats)
+    mix = mx.ClassMixture.from_features(feats, 2, seed=np.random.default_rng((4, 3)).integers(2**31))
+    phi = mx.DualPotential(3, seed=np.random.default_rng((4, 3, 1)).integers(2**31))
+    stored_mix, stored_phi = state.mixtures[3], state.potentials[3]
+    for stored, alone, rows in (
+        (stored_mix.params, mix.params, state.mixture_rows),
+        (stored_phi.params, phi.params, state.potential_rows),
+    ):
+        assert stored.names() == alone.names()
+        for name in alone.names():
+            assert stored[name].data.tobytes() == alone[name].data.tobytes()
+            assert np.shares_memory(stored[name].data, rows[3]) and stored[name].grad is None
+        assert rows[3].tobytes() == b"".join(t.data.tobytes() for t in alone.tensors())
+        assert not np.delete(rows, 3, axis=0).any()  # no other row was written
+    z = np.random.default_rng(82).standard_normal((4, 3))
+    assert stored_phi.forward(Tensor(z)).data.tobytes() == phi.forward(Tensor(z)).data.tobytes()
+    assert stored_mix.centroids().tobytes() == mix.centroids().tobytes()
+
+    moved = {name: t.data + 0.25 for name, t in phi.params.items()}
+    model.restore_params(stored_phi.params, moved)
+    assert state.potential_rows[3].tobytes() == b"".join(a.tobytes() for a in moved.values())
+    state.mixture_rows[3] *= 2.0
+    assert stored_mix.centroids().tobytes() == (2.0 * mix.centroids()).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mixture", "potential"])
+def test_a_step_on_a_stored_set_raises_and_leaves_the_store(kind):
+    rng = np.random.default_rng(83)
+    state = make_state(seed=9)
+    mx.otmm_step({2: rng.standard_normal((5, 2))}, state, mx.OtmmConfig(n_mix_samples=8), rng)
+    stores = store_bytes(state)
+    params = (state.mixtures if kind == "mixture" else state.potentials)[2].params
+    with pytest.raises(AttributeError):  # no gradient buffer to step from
+        params.step(0.1)
+    assert store_bytes(state) == stores
+    assert all(np.shares_memory(t.data, state.mixture_rows[2]) for t in state.mixtures[2].params.tensors())
+    assert all(np.shares_memory(t.data, state.potential_rows[2]) for t in state.potentials[2].params.tensors())
+
+
+@pytest.mark.parametrize("class_id", [-1, 8])
+def test_a_class_id_outside_the_store_raises(class_id):
+    # numpy would read row -1 from the end of the store; the state refuses it
+    state = make_state()
+    feats = np.random.default_rng(84).standard_normal((4, 2))
+    with pytest.raises(ValueError, match=f"class id {class_id} outside the store of 8 classes"):
+        state.ensure_class(class_id, feats)
+    with pytest.raises(ValueError, match=f"class id {class_id} outside"):
+        mx.otmm_step({class_id: feats}, state, mx.OtmmConfig(), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"class id {class_id} outside"):
+        state.add_class(class_id, mx.ClassMixture(2, 2), mx.DualPotential(2))
+    assert state.known() == [] and state.mixtures == {} and state.potentials == {}
 
 
 # ------------------------------------------- agreement with the oracle
@@ -1016,7 +1139,7 @@ def test_stream_fitting_recovers_two_modes(seed):
         epsilon=4.0, tau=0.05, lr_phi=0.05, lr_mix=0.02,
         n_phi_steps=30, n_mix_steps=2, n_mix_samples=256,
     )
-    state = mx.OtmmState(n_components=2, feat_dim=2, seed=seed)
+    state = mx.OtmmState(n_components=2, feat_dim=2, n_classes=1, seed=seed)
     rng = np.random.default_rng(seed)
     for i, batch in enumerate(stream.tasks[0].batches):
         if i == 200:
